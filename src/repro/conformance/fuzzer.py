@@ -16,9 +16,9 @@ seed, and explicit labelings.  :func:`run_case` runs it through
     Every graph layout the contract declares (``layouts=``, default
     ``("dict", "csr", "kernel")`` for view/edge kinds and
     ``("kernel",)`` for the finite kind) reproduces the base report
-    bit for bit — on the direct backend, which gathers each ball over
-    the layout's arrays, *and* on the cached backend, which keys its
-    memo table off the layout's class partition.  This is how the
+    bit for bit — on the direct backend, which evaluates one
+    representative per class of the layout's partition, *and* on the
+    cached backend, which keys its memo table off that partition.  This is how the
     fuzzer exercises the batched CSR expander and the finite
     distinct-assignment kernel, and how the self-test proves a
     deliberately-broken layout
@@ -115,11 +115,11 @@ CHECK_NAMES = (
 )
 
 #: Backends the ``layout-identity`` check runs each declared layout on:
-#: the direct backend gathers views over the layout's arrays, the
-#: cached backend keys its memo table off the layout's class partition
-#: — together they cover both ways a layout can diverge.  (The sharded
-#: backend shares the cached backend's partition path and is already
-#: exercised with ``layout="auto"`` by ``backend-identity``.)
+#: the direct backend evaluates the layout's class representatives
+#: in-process, the cached backend keys its memo table off the layout's
+#: class partition — together they cover the partition and the memo.
+#: (The sharded backend shares the same partition routine and is
+#: already exercised with ``layout="auto"`` by ``backend-identity``.)
 LAYOUT_BACKENDS = ("direct", "cached")
 
 

@@ -1,42 +1,40 @@
 """The cached backend: one evaluation per canonical view class.
 
-Wraps PR 2's canonical-view memoization
-(:mod:`repro.local_model.cache`) behind the engine seam: ``view`` and
-``edge`` requests key every ball by its canonical signature
-(:func:`~repro.local_model.views.view_signature` /
-:func:`~repro.local_model.views.edge_view_signature`), evaluate the
-algorithm once per distinct class, and broadcast the output — exactly
-the semantics of ``run_view_algorithm_cached`` /
-``run_edge_view_algorithm_cached``, which are now adapters over this
-class.
+Wraps the canonical-view memoization of :mod:`repro.local_model.cache`
+behind the engine seam.  ``view`` and ``edge`` requests run the one
+partition -> evaluate -> broadcast routine every backend shares
+(:meth:`DirectEngine._run_classes <repro.core.direct.DirectEngine.
+_run_classes>`); this backend's only contribution is the evaluation
+policy: each class key is looked up once in a
+:class:`~repro.local_model.cache.ViewCache` that outlives the run, and
+only a miss evaluates the class representative.  The accounting still
+reads one lookup per entity (the other members of a class are credited
+as hits), so :class:`~repro.local_model.cache.CacheStats` match the
+per-entity memo this replaced — ``tests/test_cache_accounting.py`` pins
+them.  ``run_view_algorithm_cached`` / ``run_edge_view_algorithm_cached``
+are adapters over this class; ``layout="kernel"`` bypasses the table
+(its class table is its own memo).
 
 ``local`` requests pass through to the direct loop (a synchronous
 message-passing round has no view classes to collapse), and ``finite``
 requests are already memoized by the algorithm's own assignment cache
-(:class:`~repro.speedup.algorithms.NodeAlgorithm`), so both fall back
-to :class:`~repro.core.direct.DirectEngine` semantics unchanged.
+(:class:`~repro.speedup.algorithms.NodeAlgorithm`), so both keep
+:class:`~repro.core.direct.DirectEngine` semantics (escalating to a
+registered kernel on ``layout="auto"``).
 
 The exactness contract (cached == direct, bit for bit) rides on the
-signature being a perfect canonical key; see
-``docs/PERFORMANCE.md`` and ``tests/test_view_cache_properties.py``.
+class key being perfect; see ``docs/PERFORMANCE.md`` and
+``tests/test_view_cache_properties.py``.
 """
-
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..graphs.graph import Edge, edge_key
-from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import expander_for, resolve_layout
+from ..instrumentation.tracer import Tracer
+from ..local_model.batch_views import ClassPartition
 from ..local_model.cache import KeyedCache, ViewCache
-from ..local_model.views import (
-    edge_view_signature,
-    gather_edge_view,
-    gather_view,
-    view_signature,
-)
 from .direct import DirectEngine
-from .engine import SimReport, SimRequest
+from .engine import SimRequest
 
 __all__ = ["CachedEngine"]
 
@@ -58,13 +56,13 @@ class CachedEngine(DirectEngine):
     -----
     On ``layout="auto"`` requests over frozen graphs, keys come from
     the batched CSR expander (one vectorized pass instead of n
-    per-entity signature walks); the lookup pattern — one cache lookup
-    per entity, one miss per distinct class — is unchanged, so hit
-    rates and class counts match the reference ``"dict"`` layout
-    exactly.  The two layouts use disjoint (both perfect) key spaces,
-    so a cache shared across layouts stays correct but re-evaluates
-    each class once per key space — keep one layout per cache when the
-    cross-run reuse matters.
+    per-entity signature walks); the accounting — one lookup per
+    entity, one miss per class not yet in the table — is the same on
+    every layout, so hit rates and class counts match the reference
+    ``"dict"`` layout exactly.  The two layouts use disjoint (both
+    perfect) key spaces, so a cache shared across layouts stays correct
+    but re-evaluates each class once per key space — keep one layout
+    per cache when the cross-run reuse matters.
     """
 
     name = "cached"
@@ -73,154 +71,33 @@ class CachedEngine(DirectEngine):
     def __init__(self, cache: Optional[ViewCache] = None):
         self.cache = cache if cache is not None else ViewCache()
 
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm, cache = request.graph, request.algorithm, self.cache
-        tracer = effective_tracer(tracer)
-        radius = algorithm.radius
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            # The class table is its own memo — nothing to cache.
-            return self._run_view_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-        before = cache.stats.copy() if tracer is not None else None
-        outputs: List[Any] = []
-        append = outputs.append
-        get, store, output = cache.get, cache.store, algorithm.output
-        ids, inputs = request.ids, request.inputs
-        randomness, orientation = request.randomness, request.orientation
-        if layout == "dict":
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {"requested": request.layout, "entities": graph.n},
-                )
-            node_keys = (
-                (v, view_signature(
-                    graph, v, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                ))
-                for v in graph.nodes()
-            )
-        else:
-            part = expander_for(graph, layout).node_classes(
-                radius, ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {
-                        "requested": request.layout,
-                        "entities": graph.n,
-                        "path": part.path,
-                        "classes": part.class_count,
-                    },
-                )
-            class_keys = part.keys
-            node_keys = (
-                (v, class_keys[c]) for v, c in enumerate(part.labels)
-            )
-        for v, key in node_keys:
-            out = get(key)
-            if out is _MISS:
-                view = gather_view(
-                    graph, v, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(v, view.radius, view.node_count, len(view.edges))
-                out = store(key, output(view))
-            append(out)
-        if tracer is not None:
-            tracer.on_cache("view", cache.stats.delta(before).to_dict())
-            tracer.on_run_end(radius)
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": len(cache)},
-        )
+    def _evaluate_classes(
+        self,
+        request: SimRequest,
+        part: ClassPartition,
+        reps: List[Any],
+        evaluate: Callable[[Any], Any],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Step 2 policy: one memo-table lookup per class.
 
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm, cache = request.graph, request.algorithm, self.cache
-        tracer = effective_tracer(tracer)
-        radius = algorithm.view_radius()
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
+        A miss evaluates the class representative and stores the
+        output.  Every other member of a class would have hit the entry
+        its first member found or stored, so they are credited as hits:
+        the stats equal one lookup per entity.
+        """
+        cache = self.cache
         before = cache.stats.copy() if tracer is not None else None
-        outputs: Dict[Edge, Any] = {}
-        get, store, output_fn = cache.get, cache.store, algorithm.output_fn
-        ids, inputs = request.ids, request.inputs
-        randomness, orientation = request.randomness, request.orientation
-        edges = list(graph.edges())
-        if layout == "dict":
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {"requested": request.layout, "entities": graph.m},
-                )
-            edge_keys = (
-                (edge, edge_view_signature(
-                    graph, edge, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                ))
-                for edge in edges
-            )
-        else:
-            part = expander_for(graph, layout).edge_classes(
-                edges, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-            if tracer is not None:
-                tracer.on_layout(
-                    self.name, layout,
-                    {
-                        "requested": request.layout,
-                        "entities": graph.m,
-                        "path": part.path,
-                        "classes": part.class_count,
-                    },
-                )
-            class_keys = part.keys
-            edge_keys = (
-                (edges[i], class_keys[c])
-                for i, c in enumerate(part.labels)
-            )
-        for (u, v), key in edge_keys:
+        get, store = cache.get, cache.store
+        table: List[Any] = []
+        for key, rep in zip(part.keys, reps):
             out = get(key)
             if out is _MISS:
-                view = gather_edge_view(
-                    graph, (u, v), radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(
-                        (u, v), view.radius, view.node_count, len(view.edges)
-                    )
-                out = store(key, output_fn(view))
-            outputs[edge_key(u, v)] = out
+                out = store(key, evaluate(rep))
+            table.append(out)
+        members = len(part.labels) - len(reps)
+        cache.stats.lookups += members
+        cache.stats.hits += members
         if tracer is not None:
-            tracer.on_cache("edge", cache.stats.delta(before).to_dict())
-            tracer.on_run_end(algorithm.rounds)
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info={"distinct_classes": len(cache)},
-        )
+            tracer.on_cache(request.kind, cache.stats.delta(before).to_dict())
+        return table, {"distinct_classes": len(cache)}

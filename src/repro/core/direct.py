@@ -8,27 +8,84 @@ here are the former bodies of the legacy entry points
 :class:`~repro.core.engine.Engine` seam; the legacy functions are now
 thin adapters over :func:`~repro.core.engine.simulate` and keep their
 exact signatures, faithfulness guarantees, and tracer event streams.
+
+It also owns the one deduplicating ``view`` / ``edge`` routine,
+:meth:`DirectEngine._run_classes` — partition the entities into ball
+classes, evaluate one representative per class, broadcast — that every
+backend runs on every layout except the direct backend's per-entity
+``"dict"`` reference.  The cached and sharded backends subclass this
+engine and plug an evaluation policy (a memo table, a process pool)
+into :meth:`DirectEngine._evaluate_classes`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Edge, edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model import kernels as _kernels
 from ..local_model.batch_views import (
+    ClassPartition,
     expander_for,
-    gather_edge_view_csr,
-    gather_view_csr,
     resolve_layout,
+    signature_partition,
 )
 from ..local_model.context import NodeContext
 from ..local_model.views import gather_edge_view, gather_view
 from .engine import Engine, SimReport, SimRequest
 
-__all__ = ["DirectEngine"]
+__all__ = ["DirectEngine", "ball_evaluator", "ball_inputs"]
+
+
+def ball_inputs(request: SimRequest) -> Tuple[Any, ...]:
+    """The request fields one ball evaluation reads, in
+    :func:`ball_evaluator` argument order (and picklable iff they are)."""
+    return (
+        request.kind,
+        request.graph,
+        request.algorithm,
+        request.ids,
+        request.inputs,
+        request.randomness,
+        request.orientation,
+    )
+
+
+def ball_evaluator(
+    kind: str,
+    graph: Any,
+    algorithm: Any,
+    ids: Optional[Sequence[Any]] = None,
+    inputs: Optional[Sequence[Any]] = None,
+    randomness: Optional[Sequence[Any]] = None,
+    orientation: Optional[Any] = None,
+    tracer: Optional[Tracer] = None,
+) -> Callable[[Any], Any]:
+    """``entity -> output``: gather the entity's ball, apply the algorithm.
+
+    The reference evaluation of one class representative — a node for
+    ``kind == "view"`` (``algorithm.output``), an edge for ``"edge"``
+    (``algorithm.output_fn``).  Each gathered ball fires ``on_view``.
+    """
+    if kind == "view":
+        gather, output, radius = gather_view, algorithm.output, algorithm.radius
+    else:
+        gather, output = gather_edge_view, algorithm.output_fn
+        radius = algorithm.view_radius()
+
+    def evaluate(entity: Any) -> Any:
+        view = gather(
+            graph, entity, radius,
+            ids=ids, inputs=inputs, randomness=randomness,
+            orientation=orientation,
+        )
+        if tracer is not None:
+            tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
+        return output(view)
+
+    return evaluate
 
 
 class DirectEngine(Engine):
@@ -36,16 +93,21 @@ class DirectEngine(Engine):
 
     ``view`` / ``edge`` requests honor the request's ``layout`` knob:
     ``"auto"`` resolves to the reference ``"dict"`` path here (the
-    direct backend *is* the reference), while an explicit ``"csr"`` (or
-    any registered expander layout) gathers each ball over the compiled
-    CSR arrays — bit-identical views, proven by the parity suite.
+    direct backend *is* the reference), which evaluates every entity.
+    Any other layout takes the one partition -> evaluate -> broadcast
+    routine (:meth:`_run_classes`) that every backend shares; the
+    backends differ only in the evaluation policy they plug into it
+    (:meth:`_evaluate_classes`).
     """
 
     name = "direct"
 
-    #: Whether ``layout="auto"`` resolves to the batched CSR layout on
-    #: frozen graphs.  The direct backend keeps the reference path; the
-    #: memoizing backends override this (class detection is their cost).
+    #: Whether this backend deduplicates by default: ``layout="auto"``
+    #: resolves to the batched CSR layout on frozen graphs and escalates
+    #: ``local`` / ``finite`` runs to registered kernels, and
+    #: ``layout="dict"`` partitions by reference signature instead of
+    #: evaluating every entity.  The direct backend keeps the reference
+    #: paths; the memoizing backends override this.
     prefer_csr = False
 
     def run(self, request: SimRequest, tracer: Optional[Tracer] = None) -> SimReport:
@@ -53,11 +115,14 @@ class DirectEngine(Engine):
         tracer = effective_tracer(tracer)
         if request.kind == "local":
             return self._run_local(request, tracer)
+        if request.kind == "finite":
+            return self._run_finite(request, tracer)
+        layout = resolve_layout(request.layout, request.graph, self.prefer_csr)
+        if layout != "dict" or self.prefer_csr:
+            return self._run_classes(request, layout, tracer)
         if request.kind == "view":
             return self._run_view(request, tracer)
-        if request.kind == "edge":
-            return self._run_edge(request, tracer)
-        return self._run_finite(request, tracer)
+        return self._run_edge(request, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
     def _wants_local_kernel(self, request: SimRequest) -> bool:
@@ -222,147 +287,135 @@ class DirectEngine(Engine):
             info=info,
         )
 
-    # -- "view"/"edge" on layout="kernel": class table + broadcast ------
-    def _run_view_kernel(
-        self, request: SimRequest, tracer: Optional[Tracer]
+    # -- "view"/"edge": partition -> evaluate -> broadcast ---------------
+    def _run_classes(
+        self, request: SimRequest, layout: str, tracer: Optional[Tracer]
     ) -> SimReport:
-        """One partition, one vectorized class table, one broadcast.
+        """The one deduplicating view/edge run, for every backend.
 
-        Shared by all backends (the kernel layout has nothing to cache
-        or shard: the class table *is* the memo).  When the algorithm
-        has no registered kernel — or its kernel declines — each class
-        representative is evaluated the reference way instead, so the
-        layout is available for every view algorithm.
+        1. **Partition** the entities into ball classes: the reference
+           signature scan on ``"dict"``, the layout's expander otherwise.
+        2. **Evaluate** one representative per class: the vectorized
+           class table on ``"kernel"`` (exact per-representative
+           fallback when the kernel declines), else the backend's
+           :meth:`_evaluate_classes` policy.
+        3. **Broadcast** each class output to every member.
         """
-        graph, algorithm = request.graph, request.algorithm
-        radius = algorithm.radius
-        part = expander_for(graph, "kernel").node_classes(
-            radius,
-            ids=request.ids,
-            inputs=request.inputs,
-            randomness=request.randomness,
-            orientation=request.orientation,
-        )
-        if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-            tracer.on_layout(
-                self.name, "kernel",
-                {"requested": request.layout, "entities": graph.n,
-                 "path": part.path, "classes": part.class_count},
-            )
-        try:
-            table = _kernels.run_view_kernel(algorithm, part)
-            kinfo = {"path": "vectorized", "reason": None}
-        except _kernels.KernelUnsupported as exc:
-            table = []
-            for rep in part.reps:
-                view = gather_view(
-                    graph, rep, radius,
-                    ids=request.ids,
-                    inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(
-                        rep, view.radius, view.node_count, len(view.edges)
-                    )
-                table.append(algorithm.output(view))
-            kinfo = {"path": "fallback", "reason": str(exc)}
-        kinfo["entities"] = graph.n
-        kinfo["classes"] = part.class_count
-        if tracer is not None:
-            tracer.on_kernel("view", algorithm.name, kinfo)
-            tracer.on_run_end(radius)
-        return SimReport(
-            kind="view",
-            outputs=_kernels.broadcast_table(table, part.labels),
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": part.class_count,
-                  "kernel": kinfo["path"]},
-        )
-
-    def _run_edge_kernel(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        """Edge-kind twin of :meth:`_run_view_kernel`."""
-        graph, algorithm = request.graph, request.algorithm
-        radius = algorithm.view_radius()
-        edges = list(graph.edges())
-        part = expander_for(graph, "kernel").edge_classes(
-            edges, radius,
-            ids=request.ids,
-            inputs=request.inputs,
-            randomness=request.randomness,
-            orientation=request.orientation,
-        )
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-            tracer.on_layout(
-                self.name, "kernel",
-                {"requested": request.layout, "entities": graph.m,
-                 "path": part.path, "classes": part.class_count},
-            )
-        try:
-            table = _kernels.run_view_kernel(algorithm, part)
-            kinfo = {"path": "vectorized", "reason": None}
-        except _kernels.KernelUnsupported as exc:
-            table = []
-            for rep in part.reps:
-                view = gather_edge_view(
-                    graph, edges[rep], radius,
-                    ids=request.ids,
-                    inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                if tracer is not None:
-                    tracer.on_view(
-                        edges[rep], view.radius, view.node_count,
-                        len(view.edges),
-                    )
-                table.append(algorithm.output_fn(view))
-            kinfo = {"path": "fallback", "reason": str(exc)}
-        kinfo["entities"] = graph.m
-        kinfo["classes"] = part.class_count
-        values = _kernels.broadcast_table(table, part.labels)
-        outputs: Dict[Edge, Any] = {
-            edge_key(u, v): value for (u, v), value in zip(edges, values)
+        graph, algorithm, kind = request.graph, request.algorithm, request.kind
+        labeling = {
+            "ids": request.ids,
+            "inputs": request.inputs,
+            "randomness": request.randomness,
+            "orientation": request.orientation,
         }
+        if kind == "view":
+            radius = rounds = algorithm.radius
+            entities: Sequence[Any] = range(graph.n)
+        else:
+            radius, rounds = algorithm.view_radius(), algorithm.rounds
+            entities = list(graph.edges())
         if tracer is not None:
-            tracer.on_kernel("edge", algorithm.name, kinfo)
-            tracer.on_run_end(algorithm.rounds)
+            tracer.on_run_start(kind, algorithm.name, len(entities))
+        if layout == "dict":
+            part = signature_partition(graph, kind, entities, radius, **labeling)
+        elif kind == "view":
+            part = expander_for(graph, layout).node_classes(radius, **labeling)
+        else:
+            part = expander_for(graph, layout).edge_classes(
+                entities, radius, **labeling
+            )
+        if tracer is not None:
+            layout_info = {"requested": request.layout,
+                           "entities": len(entities),
+                           "classes": part.class_count}
+            if layout != "dict":  # only expanders have a path to report
+                layout_info["path"] = part.path
+            tracer.on_layout(self.name, layout, layout_info)
+        reps = [entities[i] for i in part.reps]
+        evaluate = ball_evaluator(*ball_inputs(request), tracer=tracer)
+        step = self._kernel_table if layout == "kernel" else self._evaluate_classes
+        table, info = step(request, part, reps, evaluate, tracer)
+        values = _kernels.broadcast_table(table, part.labels)
+        if tracer is not None:
+            tracer.on_run_end(rounds)
+        if kind == "view":
+            return SimReport(
+                kind="view",
+                outputs=values,
+                halt_rounds=[rounds] * graph.n,
+                rounds=rounds,
+                backend=self.name,
+                info=info,
+            )
         return SimReport(
             kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
+            outputs={
+                edge_key(u, v): value for (u, v), value in zip(entities, values)
+            },
+            rounds=rounds,
             backend=self.name,
-            info={"distinct_classes": part.class_count,
-                  "kernel": kinfo["path"]},
+            info=info,
         )
 
-    # -- "view": every node's radius-T ball, evaluated ------------------
+    def _kernel_table(
+        self,
+        request: SimRequest,
+        part: ClassPartition,
+        reps: List[Any],
+        evaluate: Callable[[Any], Any],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Step 2 on ``layout="kernel"``, shared by all backends.
+
+        The class table *is* the memo, so nothing is cached or sharded.
+        When the algorithm has no registered kernel — or its kernel
+        declines — each representative is evaluated the reference way,
+        so the layout is available for every view/edge algorithm.
+        """
+        try:
+            table = _kernels.run_view_kernel(request.algorithm, part)
+            kinfo = {"path": "vectorized", "reason": None}
+        except _kernels.KernelUnsupported as exc:
+            table = [evaluate(rep) for rep in reps]
+            kinfo = {"path": "fallback", "reason": str(exc)}
+        kinfo["entities"] = len(part.labels)
+        kinfo["classes"] = part.class_count
+        if tracer is not None:
+            tracer.on_kernel(request.kind, request.algorithm.name, kinfo)
+        return table, {"distinct_classes": part.class_count,
+                       "kernel": kinfo["path"]}
+
+    def _evaluate_classes(
+        self,
+        request: SimRequest,
+        part: ClassPartition,
+        reps: List[Any],
+        evaluate: Callable[[Any], Any],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Step 2 policy: one output per class, plus the report's info.
+
+        The direct backend plugs in nothing: every representative is
+        gathered and evaluated in-process.
+        """
+        return [evaluate(rep) for rep in reps], {
+            "distinct_classes": part.class_count
+        }
+
+    # -- "view"/"edge" on layout="dict": the per-entity reference -------
     def _run_view(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
         graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_view_kernel(request, tracer)
-        # Implicit handles duck-type the dict Graph API (closed-form
-        # rows); the CSR gather would force a guarded full synthesis.
-        gather = gather_view if layout in ("dict", "implicit") else gather_view_csr
         if tracer is not None:
             tracer.on_run_start("view", algorithm.name, graph.n)
             tracer.on_layout(
-                self.name, layout,
+                self.name, "dict",
                 {"requested": request.layout, "entities": graph.n},
             )
         outputs = []
         for v in graph.nodes():
-            view = gather(
+            view = gather_view(
                 graph,
                 v,
                 algorithm.radius,
@@ -390,24 +443,16 @@ class DirectEngine(Engine):
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
         graph, algorithm = request.graph, request.algorithm
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
-        gather_edge = (
-            gather_edge_view
-            if layout in ("dict", "implicit")
-            else gather_edge_view_csr
-        )
         if tracer is not None:
             tracer.on_run_start("edge", algorithm.name, graph.m)
             tracer.on_layout(
-                self.name, layout,
+                self.name, "dict",
                 {"requested": request.layout, "entities": graph.m},
             )
         outputs: Dict[Edge, Any] = {}
         radius = algorithm.view_radius()
         for u, v in graph.edges():
-            view = gather_edge(
+            view = gather_edge_view(
                 graph,
                 (u, v),
                 radius,

@@ -102,31 +102,38 @@ class SimRequest:
     shard-seed derivation and progress events.
 
     ``layout`` selects the execution layout.  For ``view`` / ``edge``
-    kinds: ``"dict"`` is the reference per-entity path over the
-    adjacency lists, ``"csr"`` routes class detection through the
-    batched ball expander over the compiled
+    kinds every backend runs one partition -> evaluate -> broadcast
+    routine (:meth:`DirectEngine._run_classes
+    <repro.core.direct.DirectEngine._run_classes>`) and differs only in
+    the evaluation policy it plugs in: none (direct), a memo table
+    (cached), or a process pool (sharded).  The layout picks the
+    partition and the evaluation: ``"dict"`` partitions by the
+    reference signatures over the adjacency lists, ``"csr"`` through
+    the batched ball expander over the compiled
     :class:`~repro.graphs.csr.CSRGraph` arrays
-    (:mod:`repro.local_model.batch_views`), and ``"kernel"`` adds the
-    vectorized class-table apply on top of the same partitions
-    (:mod:`repro.local_model.kernels`, contract in ``docs/KERNELS.md``)
-    with an exact per-representative fallback for algorithms without a
-    registered kernel.  ``"implicit"`` serves
+    (:mod:`repro.local_model.batch_views`), and ``"kernel"`` replaces
+    the policy with the vectorized class-table apply on the same
+    partitions (:mod:`repro.local_model.kernels`, contract in
+    ``docs/KERNELS.md``), with an exact per-representative fallback
+    for algorithms without a registered kernel.  ``"implicit"`` serves
     :class:`~repro.graphs.implicit.ImplicitGraph` family handles by
     synthesizing CSR ball windows on demand (``docs/IMPLICIT.md``) — it
     is only valid on implicit handles, just as ``"csr"``/``"kernel"``
-    require materialized graphs small enough to compile.  For the
-    ``"local"`` kind, ``"kernel"`` runs the
+    require frozen graphs small enough to compile.  The one path that
+    does not partition is the direct backend's ``"dict"`` run: it
+    evaluates every entity, and is the reference the other paths are
+    proven against.  For the ``"local"`` kind, ``"kernel"`` runs the
     algorithm's registered round kernel (falling back to the reference
     loop when it declines); other explicit layouts are ignored.
     ``"auto"`` (the default) lets each backend pick — implicit handles
     route to the synthesized ``"implicit"`` path on every backend, the
-    memoizing
-    backends use ``"csr"`` for view/edge kinds whenever the graph is
-    frozen and escalate ``local`` runs to the round kernel when one is
-    registered; the direct backend stays on the reference path.  Layout
-    choice is a pure performance knob: all layouts produce bit-identical
-    reports (``tests/test_csr_parity.py``, ``tests/test_kernels.py``,
-    and the conformance ``layout-identity`` check prove it).  For the
+    memoizing backends use ``"csr"`` for view/edge kinds whenever the
+    graph is frozen and escalate ``local`` runs to the round kernel
+    when one is registered; the direct backend stays on the reference
+    path.  Layout choice is a pure performance knob: all layouts
+    produce bit-identical reports (``tests/test_csr_parity.py``,
+    ``tests/test_kernels.py``, and the conformance ``layout-identity``
+    check prove it).  For the
     ``finite`` kind, ``"kernel"`` evaluates the run through the
     distinct-assignment kernel of :mod:`repro.speedup.trial_kernel`
     (``"auto"`` escalates on the memoizing backends when a kernel is

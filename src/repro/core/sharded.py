@@ -2,17 +2,19 @@
 
 The sharded engine combines the cached engine's insight (on symmetric
 graph families, almost all balls are pairwise isomorphic) with process
-fan-out:
-
-1. the parent process keys every node (edge) by its canonical view
-   signature — the same perfect key the cached engine uses;
-2. the *distinct* view classes are split into shards, each with a
-   sha256-derived seed
-   (:func:`~repro.core.engine.derive_seed`, the experiment runner's
-   ``derive_cell_seed`` scheme);
-3. a :mod:`multiprocessing` pool materializes one representative ball
-   per class and evaluates the algorithm on it;
-4. the parent broadcasts each class's output to every member.
+fan-out.  ``view`` and ``edge`` requests run the one partition ->
+evaluate -> broadcast routine every backend shares
+(:meth:`DirectEngine._run_classes <repro.core.direct.DirectEngine.
+_run_classes>`): the parent partitions every node (edge) into view
+classes — the same perfect key the cached engine uses — and broadcasts
+each class output to every member.  This backend plugs in only the
+evaluation policy, :meth:`ShardedEngine._evaluate_shards`: the class
+representatives are split into shards, each with a sha256-derived seed
+(:func:`~repro.core.engine.derive_seed`, the experiment runner's
+``derive_cell_seed`` scheme), and a :mod:`multiprocessing` pool
+materializes one representative ball per class and evaluates the
+algorithm on it.  ``layout="kernel"`` runs the shared class-table path
+instead (nothing is left worth sharding).
 
 Work drops from ``n`` evaluations to ``distinct classes`` evaluations,
 and those evaluations parallelize — so the engine beats the direct
@@ -49,17 +51,10 @@ import multiprocessing
 import pickle
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.graph import Edge, edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import expander_for, resolve_layout
+from ..local_model.batch_views import ClassPartition
 from ..local_model.cache import CacheStats
-from ..local_model.views import (
-    edge_view_signature,
-    gather_edge_view,
-    gather_view,
-    view_signature,
-)
-from .direct import DirectEngine
+from .direct import DirectEngine, ball_evaluator, ball_inputs
 from .engine import SimReport, SimRequest, derive_seed, resolve_engine
 
 __all__ = ["ShardedEngine"]
@@ -104,34 +99,10 @@ def _can_fork() -> bool:
 
 # -- module-level workers (Pool requires importable callables) ----------
 
-def _eval_view_chunk(payload: Tuple[Any, ...]) -> List[Any]:
-    graph, algorithm, ids, inputs, randomness, orientation, reps = payload
-    radius = algorithm.radius
-    return [
-        algorithm.output(
-            gather_view(
-                graph, v, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-        )
-        for v in reps
-    ]
-
-
-def _eval_edge_chunk(payload: Tuple[Any, ...]) -> List[Any]:
-    graph, algorithm, ids, inputs, randomness, orientation, reps = payload
-    radius = algorithm.view_radius()
-    return [
-        algorithm.output_fn(
-            gather_edge_view(
-                graph, edge, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-                orientation=orientation,
-            )
-        )
-        for edge in reps
-    ]
+def _eval_chunk(payload: Tuple[Any, ...]) -> List[Any]:
+    """One shard: ``ball_inputs(request) + (reps,)`` -> outputs."""
+    evaluate = ball_evaluator(*payload[:-1])
+    return [evaluate(rep) for rep in payload[-1]]
 
 
 def _run_request_chunk(payload: Tuple[str, Sequence[SimRequest]]) -> List[SimReport]:
@@ -264,7 +235,6 @@ class ShardedEngine(DirectEngine):
         self,
         request: SimRequest,
         reps: Sequence[Any],
-        worker: Callable[[Tuple[Any, ...]], List[Any]],
         tracer: Optional[Tracer],
     ) -> Tuple[List[Any], bool, Optional[str]]:
         """Evaluate one representative per class, pooled when possible.
@@ -280,21 +250,14 @@ class ShardedEngine(DirectEngine):
         if tracer is not None:
             for i, (chunk, seed) in enumerate(zip(chunks, seeds)):
                 tracer.on_shard(i, len(chunk), seed)
-        shared = (
-            request.graph,
-            request.algorithm,
-            request.ids,
-            request.inputs,
-            request.randomness,
-            request.orientation,
-        )
+        shared = ball_inputs(request)
         payloads = [shared + (chunk,) for chunk in chunks]
         pooled, degraded = False, None
         if len(chunks) > 1:
             degraded = self._degradation_reason(shared)
         if len(chunks) > 1 and degraded is None:
             try:
-                chunk_outputs = self._pool_map(worker, payloads)
+                chunk_outputs = self._pool_map(_eval_chunk, payloads)
                 pooled = True
             except Exception as exc:
                 # A worker died, raised, or the pool timed out: the pool
@@ -304,7 +267,7 @@ class ShardedEngine(DirectEngine):
                 self.close()
                 degraded = f"pool-error: {type(exc).__name__}: {exc}"
         if not pooled:
-            chunk_outputs = [worker(payload) for payload in payloads]
+            chunk_outputs = [_eval_chunk(payload) for payload in payloads]
         if degraded is not None and tracer is not None:
             tracer.on_degraded(self.name, degraded)
         return (
@@ -313,142 +276,30 @@ class ShardedEngine(DirectEngine):
             degraded,
         )
 
-    @staticmethod
-    def _dedup_stats(lookups: int, distinct: int) -> Dict[str, Any]:
-        return CacheStats(
-            lookups=lookups,
-            hits=lookups - distinct,
-            misses=distinct,
-            distinct_classes=distinct,
-        ).to_dict()
-
-    # -- "view": shard the distinct node-ball classes -------------------
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        tracer = effective_tracer(tracer)
-        radius = algorithm.radius
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            # One vectorized class table: nothing left worth sharding.
-            return self._run_view_kernel(request, tracer)
+    def _evaluate_classes(
+        self,
+        request: SimRequest,
+        part: ClassPartition,
+        reps: List[Any],
+        evaluate: Callable[[Any], Any],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Step 2 policy: the representatives fan out over the pool
+        (:meth:`_evaluate_shards`); ``evaluate`` is not used, since the
+        shards evaluate the reference way inside the workers."""
+        table, pooled, degraded = self._evaluate_shards(request, reps, tracer)
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-        if layout == "dict":
-            labels: List[int] = []
-            classes: Dict[Any, int] = {}
-            reps: List[int] = []
-            for v in graph.nodes():
-                key = view_signature(
-                    graph, v, radius,
-                    ids=request.ids, inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                c = classes.get(key)
-                if c is None:
-                    c = classes[key] = len(reps)
-                    reps.append(v)
-                labels.append(c)
-            layout_info = {"requested": request.layout, "entities": graph.n,
-                           "classes": len(reps)}
-        else:
-            part = expander_for(graph, layout).node_classes(
-                radius, ids=request.ids, inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            # First-occurrence representatives match the dict scan's, so
-            # shard payloads — and therefore outputs — are bit-identical.
-            labels, reps = part.labels, part.reps
-            layout_info = {"requested": request.layout, "entities": graph.n,
-                           "path": part.path, "classes": part.class_count}
-        if tracer is not None:
-            tracer.on_layout(self.name, layout, layout_info)
-        class_outputs, pooled, degraded = self._evaluate_shards(
-            request, reps, _eval_view_chunk, tracer
-        )
-        outputs = [class_outputs[c] for c in labels]
-        if tracer is not None:
-            tracer.on_cache("view", self._dedup_stats(graph.n, len(reps)))
-            tracer.on_run_end(radius)
+            lookups, distinct = len(part.labels), len(reps)
+            tracer.on_cache(request.kind, CacheStats(
+                lookups=lookups,
+                hits=lookups - distinct,
+                misses=distinct,
+                distinct_classes=distinct,
+            ).to_dict())
         info: Dict[str, Any] = {"distinct_classes": len(reps), "pooled": pooled}
         if degraded is not None:
             info["degraded"] = degraded
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info=info,
-        )
-
-    # -- "edge": shard the distinct edge-ball classes -------------------
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        tracer = effective_tracer(tracer)
-        radius = algorithm.view_radius()
-        layout = resolve_layout(request.layout, graph, self.prefer_csr)
-        if layout == "kernel":
-            return self._run_edge_kernel(request, tracer)
-        if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-        edges = list(graph.edges())
-        if layout == "dict":
-            labels: List[int] = []
-            classes: Dict[Any, int] = {}
-            reps: List[Tuple[int, int]] = []
-            for u, v in edges:
-                key = edge_view_signature(
-                    graph, (u, v), radius,
-                    ids=request.ids, inputs=request.inputs,
-                    randomness=request.randomness,
-                    orientation=request.orientation,
-                )
-                c = classes.get(key)
-                if c is None:
-                    c = classes[key] = len(reps)
-                    reps.append((u, v))
-                labels.append(c)
-            layout_info = {"requested": request.layout, "entities": graph.m,
-                           "classes": len(reps)}
-        else:
-            part = expander_for(graph, layout).edge_classes(
-                edges, radius,
-                ids=request.ids, inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            labels = part.labels
-            reps = [edges[i] for i in part.reps]
-            layout_info = {"requested": request.layout, "entities": graph.m,
-                           "path": part.path, "classes": part.class_count}
-        if tracer is not None:
-            tracer.on_layout(self.name, layout, layout_info)
-        class_outputs, pooled, degraded = self._evaluate_shards(
-            request, reps, _eval_edge_chunk, tracer
-        )
-        outputs: Dict[Edge, Any] = {
-            edge_key(u, v): class_outputs[c]
-            for (u, v), c in zip(edges, labels)
-        }
-        if tracer is not None:
-            tracer.on_cache("edge", self._dedup_stats(len(edges), len(reps)))
-            tracer.on_run_end(algorithm.rounds)
-        info: Dict[str, Any] = {"distinct_classes": len(reps), "pooled": pooled}
-        if degraded is not None:
-            info["degraded"] = degraded
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info=info,
-        )
+        return table, info
 
     # -- batches: shard whole independent requests ----------------------
     def _run_chunk_serial(

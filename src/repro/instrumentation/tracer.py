@@ -118,11 +118,13 @@ class Tracer:
 
         Fired once per ``view`` / ``edge`` run by every backend.
         ``layout`` is the resolved layout name (``"dict"`` for the
-        reference per-entity path, ``"csr"`` for the batched expander,
+        reference signatures, ``"csr"`` for the batched expander,
         or a registered fixture layout); ``info`` carries ``requested``
         (the request's knob, e.g. ``"auto"``), ``entities``, and — on
-        expander-backed layouts — ``path`` (``"numpy"`` or the exact
-        ``"python"`` fallback) and ``classes`` (the partition size).
+        every run that partitions into classes (all but the direct
+        backend's per-entity ``"dict"`` loop) — ``classes`` (the
+        partition size), plus ``path`` on expander-backed layouts
+        (``"numpy"`` or the exact ``"python"`` fallback).
         """
 
     def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:

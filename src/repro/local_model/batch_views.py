@@ -43,12 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.graph import Graph
-from .views import (
-    _collect,
-    _explore,
-    edge_view_signature,
-    view_signature,
-)
+from .views import edge_view_signature, view_signature
 
 __all__ = [
     "ClassPartition",
@@ -59,8 +54,7 @@ __all__ = [
     "known_layouts",
     "expander_for",
     "resolve_layout",
-    "gather_view_csr",
-    "gather_edge_view_csr",
+    "signature_partition",
 ]
 
 _INT64_MIN = -(2**63)
@@ -174,6 +168,45 @@ class ClassCounts:
         )
 
 
+def signature_partition(
+    graph: Any,
+    kind: str,
+    entities: Sequence[Any],
+    radius: int,
+    ids: Optional[Sequence[Any]] = None,
+    inputs: Optional[Sequence[Any]] = None,
+    randomness: Optional[Sequence[Any]] = None,
+    orientation: Optional[Any] = None,
+) -> ClassPartition:
+    """Partition ``entities`` by their reference signatures.
+
+    The exact per-entity scan: ``view_signature`` for ``kind == "view"``
+    (entities are nodes), ``edge_view_signature`` for ``"edge"``
+    (entities are edges), keeping first occurrences.  It needs only the
+    duck-typed graph API, so it serves the ``"dict"`` layout of the
+    deduplicating engines and the expanders' ``path == "python"``
+    fallback alike.
+    """
+    signature = view_signature if kind == "view" else edge_view_signature
+    classes: Dict[Any, int] = {}
+    keys: List[Any] = []
+    labels: List[int] = []
+    reps: List[int] = []
+    for i, entity in enumerate(entities):
+        sig = signature(
+            graph, entity, radius,
+            ids=ids, inputs=inputs, randomness=randomness,
+            orientation=orientation,
+        )
+        c = classes.get(sig)
+        if c is None:
+            c = classes[sig] = len(keys)
+            keys.append(sig)
+            reps.append(i)
+        labels.append(c)
+    return ClassPartition(keys, labels, reps, path="python")
+
+
 def _int64_column(
     values: Optional[Sequence[Any]], n: int
 ) -> Optional[np.ndarray]:
@@ -269,8 +302,9 @@ class BatchBallExpander:
         entities: Sequence[int] = range(n) if sources is None else list(sources)
         if orientation is not None or not ok or n == 0:
             return [
-                self._fallback(
-                    "node", entities, r, ids, inputs, randomness, orientation
+                signature_partition(
+                    self.graph, "view", entities, r,
+                    ids, inputs, randomness, orientation,
                 )
                 for r in radii
             ]
@@ -303,8 +337,9 @@ class BatchBallExpander:
         n = self.csr.n
         cols, ok = self._label_columns(n, ids, inputs, randomness)
         if orientation is not None or not ok or n == 0 or not edges:
-            return self._fallback(
-                "edge", edges, radius, ids, inputs, randomness, orientation
+            return signature_partition(
+                self.graph, "edge", edges, radius,
+                ids, inputs, randomness, orientation,
             )
         us = np.asarray([e[0] for e in edges], dtype=np.int64)
         vs = np.asarray([e[1] for e in edges], dtype=np.int64)
@@ -339,42 +374,6 @@ class BatchBallExpander:
         self, tag: str, radius: int, flags: Tuple[bool, ...], stream: bytes
     ) -> Any:
         return (tag, radius, flags, stream)
-
-    # -- reference fallback ---------------------------------------------
-    def _fallback(
-        self,
-        kind: str,
-        entities: Sequence[Any],
-        radius: int,
-        ids: Optional[Sequence[Any]],
-        inputs: Optional[Sequence[Any]],
-        randomness: Optional[Sequence[Any]],
-        orientation: Optional[Any],
-    ) -> ClassPartition:
-        classes: Dict[Any, int] = {}
-        keys: List[Any] = []
-        labels: List[int] = []
-        reps: List[int] = []
-        for i, entity in enumerate(entities):
-            if kind == "node":
-                sig = view_signature(
-                    self.graph, entity, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
-            else:
-                sig = edge_view_signature(
-                    self.graph, entity, radius,
-                    ids=ids, inputs=inputs, randomness=randomness,
-                    orientation=orientation,
-                )
-            c = classes.get(sig)
-            if c is None:
-                c = classes[sig] = len(keys)
-                keys.append(sig)
-                reps.append(i)
-            labels.append(c)
-        return ClassPartition(keys, labels, reps, path="python")
 
     # -- vectorized core ------------------------------------------------
     def _label_columns(
@@ -697,8 +696,9 @@ class ImplicitBallExpander(BatchBallExpander):
         entities: Sequence[int] = range(n) if sources is None else list(sources)
         if orientation is not None or not ok or n == 0:
             return [
-                self._fallback(
-                    "node", entities, r, ids, inputs, randomness, orientation
+                signature_partition(
+                    self.graph, "view", entities, r,
+                    ids, inputs, randomness, orientation,
                 )
                 for r in radii
             ]
@@ -727,8 +727,9 @@ class ImplicitBallExpander(BatchBallExpander):
         n = graph.n
         cols, ok = self._label_columns(n, ids, inputs, randomness)
         if orientation is not None or not ok or n == 0 or not edges:
-            return self._fallback(
-                "edge", edges, radius, ids, inputs, randomness, orientation
+            return signature_partition(
+                self.graph, "edge", edges, radius,
+                ids, inputs, randomness, orientation,
             )
         us = np.asarray([e[0] for e in edges], dtype=np.int64)
         vs = np.asarray([e[1] for e in edges], dtype=np.int64)
@@ -838,7 +839,8 @@ class ImplicitBallExpander(BatchBallExpander):
 # ----------------------------------------------------------------------
 
 #: The built-in layouts every view/edge request can name.  ``"dict"``
-#: is the reference per-entity path, ``"csr"`` the batched expander,
+#: is the reference signatures over the adjacency lists (and, on the
+#: direct backend, the per-entity loop), ``"csr"`` the batched expander,
 #: and ``"kernel"`` the expander plus a vectorized class-table apply
 #: (see :mod:`repro.local_model.kernels` and ``docs/KERNELS.md``).
 LAYOUTS = ("dict", "csr", "kernel")
@@ -937,56 +939,3 @@ def resolve_layout(layout: str, graph: Any, prefer_csr: bool) -> str:
             f"unknown layout {layout!r} (have {known_layouts()})"
         )
     return layout
-
-
-# ----------------------------------------------------------------------
-# CSR-backed view materialization (DirectEngine's explicit-csr path)
-# ----------------------------------------------------------------------
-
-def gather_view_csr(
-    graph: Graph,
-    v: int,
-    radius: int,
-    ids: Optional[Sequence[int]] = None,
-    inputs: Optional[Sequence[Any]] = None,
-    randomness: Optional[Sequence[Any]] = None,
-    orientation: Optional[Any] = None,
-):
-    """:func:`~repro.local_model.views.gather_view` over the CSR arrays.
-
-    Bit-identical views (same exploration order, same port pairs — the
-    reverse-port table supplies ``port_to`` in O(1)); the parity suite
-    asserts equality against the reference on every generated graph.
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    csr = graph.csr()
-    order, local, dist = _explore(csr, [v], radius)
-    return _collect(
-        csr, order, local, dist, radius, 0, ids, inputs, randomness, orientation
-    )
-
-
-def gather_edge_view_csr(
-    graph: Graph,
-    edge: Tuple[int, int],
-    radius: int,
-    ids: Optional[Sequence[int]] = None,
-    inputs: Optional[Sequence[Any]] = None,
-    randomness: Optional[Sequence[Any]] = None,
-    orientation: Optional[Any] = None,
-):
-    """:func:`~repro.local_model.views.gather_edge_view` over CSR arrays."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    u, v = edge
-    if not graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    if orientation is not None and orientation.is_labeled(u, v):
-        if orientation.sign_at(u, v) > 0:
-            u, v = v, u  # make local 0 the endpoint with the negative view
-    csr = graph.csr()
-    order, local, dist = _explore(csr, [u, v], radius)
-    return _collect(
-        csr, order, local, dist, radius, 0, ids, inputs, randomness, orientation
-    )

@@ -345,3 +345,28 @@ def test_graph_pickle_drops_cached_csr():
     rebuilt = clone.csr()
     assert rebuilt is not first  # lazily rebuilt, not shipped
     assert rebuilt.indices.tolist() == first.indices.tolist()
+
+
+@pytest.mark.parametrize("kind", ("view", "edge"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_explicit_csr_on_unfrozen_graph_raises_one_error(backend, kind):
+    """Every backend refuses ``layout="csr"`` on a mutable graph alike."""
+    from repro.algorithms.view_rules import make_view_rule
+    from repro.core import SimRequest, simulate
+    from repro.local_model import EdgeViewAlgorithm
+
+    graph = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
+    algorithm = (
+        make_view_rule("ball-signature", radius=1)
+        if kind == "view"
+        else EdgeViewAlgorithm(1, len, name="edge-len")
+    )
+    request = SimRequest(
+        kind=kind, graph=graph, algorithm=algorithm, layout="csr"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        simulate(request, engine=backend)
+    assert str(excinfo.value) == (
+        "csr() requires a frozen graph; call freeze() first"
+    )
+    assert not graph.is_frozen
