@@ -18,7 +18,7 @@ Asserts
   ``benchmarks/BENCH_speedup_kernels.json``) — a ratio of two timings
   on the same machine, so machine-independent;
 * exactness, on every timed repeat: the same estimate, the same
-  per-trial ``on_trial`` sequence (index, outcome, failing count), and
+  per-trial ``trial`` event sequence (index, outcome, failing count), and
   the same final ``rng`` state as the reference loop.  A kernel that
   silently declined would "win" by 1x and fail the headline bar; one
   that drifted off the Mersenne-Twister stream fails the state check.
@@ -94,13 +94,16 @@ _FACTORIES = {
 
 
 class _TrialLog(Tracer):
-    """Records the exact ``on_trial`` sequence a run emits."""
+    """Records the exact ``trial`` event sequence a run emits."""
 
     def __init__(self) -> None:
         self.events = []
 
-    def on_trial(self, index, succeeded, failing_nodes):
-        self.events.append((index, succeeded, failing_nodes))
+    def on_event(self, name, /, **attrs):
+        if name == "trial":
+            self.events.append(
+                (attrs["index"], attrs["succeeded"], attrs["failing_nodes"])
+            )
 
 
 def _measure_estimate(config: Dict[str, Any]) -> Dict[str, Any]:

@@ -3,9 +3,9 @@
 Each fault drives the engine into one documented degradation path and
 asserts the contract from ``repro/core/sharded.py``'s docstring: the
 run **completes with bit-identical results**, the reason is surfaced
-as ``SimReport.info["degraded"]``, and
-:meth:`~repro.instrumentation.tracer.Tracer.on_degraded` fires (so
-:class:`~repro.instrumentation.metrics.MetricsTracer` counts it).
+as ``SimReport.info["degraded"]``, and the ``degraded`` tracer event
+fires (so :class:`~repro.instrumentation.metrics.MetricsTracer` counts
+it).
 
 Faults
 ------
@@ -132,7 +132,7 @@ def _check_worker_crash(timeout: float) -> FaultOutcome:
         if not (degraded or "").startswith("pool-error"):
             problems.append(f"degraded reason is {degraded!r}")
         if tracer.metrics.degradations < 1:
-            problems.append("tracer saw no on_degraded event")
+            problems.append("tracer saw no degraded event")
         return FaultOutcome(
             fault="worker-crash-view",
             ok=not problems,
@@ -206,7 +206,7 @@ def _check_run_many_crash(timeout: float) -> FaultOutcome:
             ):
                 problems.append(f"{request.label}: degradation not surfaced")
         if tracer.metrics.degradations < 1:
-            problems.append("tracer saw no on_degraded event")
+            problems.append("tracer saw no degraded event")
         degraded = reports[0].info.get("degraded") if reports else None
         return FaultOutcome(
             fault="worker-crash-run-many",

@@ -99,5 +99,7 @@ class CachedEngine(DirectEngine):
         cache.stats.lookups += members
         cache.stats.hits += members
         if tracer is not None:
-            tracer.on_cache(request.kind, cache.stats.delta(before).to_dict())
+            tracer.on_event(
+                "cache", engine=request.kind, **cache.stats.delta(before).to_dict()
+            )
         return table, {"distinct_classes": len(cache)}

@@ -53,6 +53,14 @@ def ball_inputs(request: SimRequest) -> Tuple[Any, ...]:
     )
 
 
+def trace_view(tracer: Tracer, center: Any, view: Any) -> None:
+    """Fire the ``view`` event of one gathered ball around ``center``."""
+    tracer.on_event(
+        "view", center=center, radius=view.radius,
+        nodes=view.node_count, edges=len(view.edges),
+    )
+
+
 def ball_evaluator(
     kind: str,
     graph: Any,
@@ -67,7 +75,7 @@ def ball_evaluator(
 
     The reference evaluation of one class representative — a node for
     ``kind == "view"`` (``algorithm.output``), an edge for ``"edge"``
-    (``algorithm.output_fn``).  Each gathered ball fires ``on_view``.
+    (``algorithm.output_fn``).  Each gathered ball fires a ``view`` event.
     """
     if kind == "view":
         gather, output, radius = gather_view, algorithm.output, algorithm.radius
@@ -82,7 +90,7 @@ def ball_evaluator(
             orientation=orientation,
         )
         if tracer is not None:
-            tracer.on_view(entity, view.radius, view.node_count, len(view.edges))
+            trace_view(tracer, entity, view)
         return output(view)
 
     return evaluate
@@ -149,19 +157,18 @@ class DirectEngine(Engine):
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
         """The vectorized round-kernel path (raises KernelUnsupported
-        back to :meth:`_run_local` when the kernel declines)."""
+        back to :meth:`_run_local` when the kernel declines).  The
+        caller has already fired ``run_start``."""
         algorithm, n = request.algorithm, request.graph.n
         outputs, halt_rounds, rounds = _kernels.run_local_kernel(
             algorithm, request
         )
         if tracer is not None:
-            tracer.on_run_start("local", algorithm.name, n)
-            tracer.on_kernel(
-                "local", algorithm.name,
-                {"path": "vectorized", "reason": None,
-                 "entities": n, "rounds": rounds},
+            tracer.on_event(
+                "kernel", engine="local", algorithm=algorithm.name,
+                path="vectorized", reason=None, entities=n, rounds=rounds,
             )
-            tracer.on_run_end(rounds)
+            tracer.on_event("run_end", rounds=rounds)
         return SimReport(
             kind="local",
             outputs=outputs,
@@ -174,12 +181,6 @@ class DirectEngine(Engine):
     def _run_local(
         self, request: SimRequest, tracer: Optional[Tracer]
     ) -> SimReport:
-        kernel_reason: Optional[str] = None
-        if self._wants_local_kernel(request):
-            try:
-                return self._run_local_kernel(request, tracer)
-            except _kernels.KernelUnsupported as exc:
-                kernel_reason = str(exc)
         graph, algorithm = request.graph, request.algorithm
         ids, inputs = request.ids, request.inputs
         n = graph.n
@@ -187,6 +188,15 @@ class DirectEngine(Engine):
             raise ValueError("ids must have one entry per node")
         if inputs is not None and len(inputs) != n:
             raise ValueError("inputs must have one entry per node")
+        if tracer is not None:
+            # Before the kernel attempt, so its time counts as the run's.
+            tracer.on_event("run_start", engine="local", algorithm=algorithm.name, n=n)
+        kernel_reason: Optional[str] = None
+        if self._wants_local_kernel(request):
+            try:
+                return self._run_local_kernel(request, tracer)
+            except _kernels.KernelUnsupported as exc:
+                kernel_reason = str(exc)
         max_rounds = request.max_rounds
         if max_rounds is None:
             max_rounds = 4 * n + 16
@@ -215,14 +225,11 @@ class DirectEngine(Engine):
                 )
             )
 
-        if tracer is not None:
-            tracer.on_run_start("local", algorithm.name, n)
-            if kernel_reason is not None:
-                tracer.on_kernel(
-                    "local", algorithm.name,
-                    {"path": "fallback", "reason": kernel_reason,
-                     "entities": n},
-                )
+        if tracer is not None and kernel_reason is not None:
+            tracer.on_event(
+                "kernel", engine="local", algorithm=algorithm.name,
+                path="fallback", reason=kernel_reason, entities=n,
+            )
 
         halt_rounds: List[Optional[int]] = [None] * n
         for v in graph.nodes():
@@ -230,7 +237,7 @@ class DirectEngine(Engine):
             if contexts[v].halted:
                 halt_rounds[v] = 0
                 if tracer is not None:
-                    tracer.on_halt(v, 0, contexts[v].output)
+                    tracer.on_event("halt", node=v, round=0, output=contexts[v].output)
 
         rounds = 0
         active = [v for v in graph.nodes() if not contexts[v].halted]
@@ -244,7 +251,7 @@ class DirectEngine(Engine):
             for v in active:
                 contexts[v].round_number = rounds
             if tracer is not None:
-                tracer.on_round_start(rounds, len(active))
+                tracer.on_event("round_start", round=rounds, active=len(active))
             outboxes: Dict[int, Dict[int, Any]] = {}
             for v in active:
                 msgs = algorithm.send(contexts[v])
@@ -258,23 +265,28 @@ class DirectEngine(Engine):
                     if delivered:
                         inboxes[u][graph.port_to(u, v)] = payload
                     if tracer is not None:
-                        tracer.on_message(v, u, port, payload, delivered)
+                        tracer.on_event(
+                            "message", sender=v, receiver=u, port=port,
+                            payload=payload, delivered=delivered,
+                        )
             next_active = []
             for v in active:
                 algorithm.receive(contexts[v], inboxes[v])
                 if contexts[v].halted:
                     halt_rounds[v] = rounds
                     if tracer is not None:
-                        tracer.on_halt(v, rounds, contexts[v].output)
+                        tracer.on_event(
+                            "halt", node=v, round=rounds, output=contexts[v].output
+                        )
                 else:
                     next_active.append(v)
             active = next_active
             if tracer is not None:
-                tracer.on_round_end(rounds)
+                tracer.on_event("round_end", round=rounds)
 
         total = max((r for r in halt_rounds if r is not None), default=0)
         if tracer is not None:
-            tracer.on_run_end(total)
+            tracer.on_event("run_end", rounds=total)
         info: Dict[str, Any] = {}
         if kernel_reason is not None:
             info = {"kernel": "fallback", "kernel_reason": kernel_reason}
@@ -315,7 +327,9 @@ class DirectEngine(Engine):
             radius, rounds = algorithm.view_radius(), algorithm.rounds
             entities = list(graph.edges())
         if tracer is not None:
-            tracer.on_run_start(kind, algorithm.name, len(entities))
+            tracer.on_event(
+                "run_start", engine=kind, algorithm=algorithm.name, n=len(entities)
+            )
         if layout == "dict":
             part = signature_partition(graph, kind, entities, radius, **labeling)
         elif kind == "view":
@@ -330,14 +344,14 @@ class DirectEngine(Engine):
                            "classes": part.class_count}
             if layout != "dict":  # only expanders have a path to report
                 layout_info["path"] = part.path
-            tracer.on_layout(self.name, layout, layout_info)
+            tracer.on_event("layout", engine=self.name, layout=layout, **layout_info)
         reps = [entities[i] for i in part.reps]
         evaluate = ball_evaluator(*ball_inputs(request), tracer=tracer)
         step = self._kernel_table if layout == "kernel" else self._evaluate_classes
         table, info = step(request, part, reps, evaluate, tracer)
         values = _kernels.broadcast_table(table, part.labels)
         if tracer is not None:
-            tracer.on_run_end(rounds)
+            tracer.on_event("run_end", rounds=rounds)
         if kind == "view":
             return SimReport(
                 kind="view",
@@ -381,7 +395,10 @@ class DirectEngine(Engine):
         kinfo["entities"] = len(part.labels)
         kinfo["classes"] = part.class_count
         if tracer is not None:
-            tracer.on_kernel(request.kind, request.algorithm.name, kinfo)
+            tracer.on_event(
+                "kernel", engine=request.kind, algorithm=request.algorithm.name,
+                **kinfo,
+            )
         return table, {"distinct_classes": part.class_count,
                        "kernel": kinfo["path"]}
 
@@ -408,10 +425,12 @@ class DirectEngine(Engine):
     ) -> SimReport:
         graph, algorithm = request.graph, request.algorithm
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
-            tracer.on_layout(
-                self.name, "dict",
-                {"requested": request.layout, "entities": graph.n},
+            tracer.on_event(
+                "run_start", engine="view", algorithm=algorithm.name, n=graph.n
+            )
+            tracer.on_event(
+                "layout", engine=self.name, layout="dict",
+                requested=request.layout, entities=graph.n,
             )
         outputs = []
         for v in graph.nodes():
@@ -425,11 +444,11 @@ class DirectEngine(Engine):
                 orientation=request.orientation,
             )
             if tracer is not None:
-                tracer.on_view(v, view.radius, view.node_count, len(view.edges))
+                trace_view(tracer, v, view)
             outputs.append(algorithm.output(view))
         t = algorithm.radius
         if tracer is not None:
-            tracer.on_run_end(t)
+            tracer.on_event("run_end", rounds=t)
         return SimReport(
             kind="view",
             outputs=outputs,
@@ -444,10 +463,12 @@ class DirectEngine(Engine):
     ) -> SimReport:
         graph, algorithm = request.graph, request.algorithm
         if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
-            tracer.on_layout(
-                self.name, "dict",
-                {"requested": request.layout, "entities": graph.m},
+            tracer.on_event(
+                "run_start", engine="edge", algorithm=algorithm.name, n=graph.m
+            )
+            tracer.on_event(
+                "layout", engine=self.name, layout="dict",
+                requested=request.layout, entities=graph.m,
             )
         outputs: Dict[Edge, Any] = {}
         radius = algorithm.view_radius()
@@ -462,10 +483,10 @@ class DirectEngine(Engine):
                 orientation=request.orientation,
             )
             if tracer is not None:
-                tracer.on_view((u, v), view.radius, view.node_count, len(view.edges))
+                trace_view(tracer, (u, v), view)
             outputs[edge_key(u, v)] = algorithm.output_fn(view)
         if tracer is not None:
-            tracer.on_run_end(algorithm.rounds)
+            tracer.on_event("run_end", rounds=algorithm.rounds)
         return SimReport(
             kind="edge",
             outputs=outputs,
@@ -493,11 +514,23 @@ class DirectEngine(Engine):
             and _kernels.finite_kernel_for(request.algorithm) is not None
         )
 
+    @staticmethod
+    def _finite_views(alg: Any, graph: Any, tracer: Tracer) -> None:
+        """One ``view`` event per node: every finite ball has the
+        algorithm's radius and the oriented ball's word count."""
+        ball_size = len(alg.ball.words)
+        for v in graph.nodes():
+            tracer.on_event(
+                "view", center=v, radius=alg.t,
+                nodes=ball_size, edges=max(0, ball_size - 1),
+            )
+
     def _run_finite_kernel(
         self, request: SimRequest, tables, tracer: Optional[Tracer]
     ) -> SimReport:
         """The distinct-assignment kernel path (raises KernelUnsupported
-        back to :meth:`_run_finite` when the kernel declines)."""
+        back to :meth:`_run_finite` when the kernel declines).  The
+        caller has already fired ``run_start``."""
         graph, alg = request.graph, request.algorithm
         fn = _kernels.finite_kernel_for(alg)
         if fn is None:
@@ -511,16 +544,15 @@ class DirectEngine(Engine):
                 f"{len(outputs)} outputs for {graph.n} nodes"
             )
         if tracer is not None:
-            tracer.on_run_start("finite", alg.name, graph.n)
-            ball_size = len(alg.ball.words)
-            for v in graph.nodes():
-                tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
-            tracer.on_kernel(
-                "finite", alg.name,
-                {"path": "vectorized", "reason": None, "entities": graph.n},
+            self._finite_views(alg, graph, tracer)
+            tracer.on_event(
+                "kernel", engine="finite", algorithm=alg.name,
+                path="vectorized", reason=None, entities=graph.n,
             )
-            tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
-            tracer.on_run_end(alg.t)
+            tracer.on_event(
+                "cache", engine="finite", **alg.cache.stats.delta(before).to_dict()
+            )
+            tracer.on_event("run_end", rounds=alg.t)
         return SimReport(
             kind="finite",
             outputs=outputs,
@@ -549,6 +581,9 @@ class DirectEngine(Engine):
         if tables is None:
             tables = resolve_ball_tables(alg, graph, request.orientation)
 
+        if tracer is not None:
+            # Before the kernel attempt, so its time counts as the run's.
+            tracer.on_event("run_start", engine="finite", algorithm=alg.name, n=graph.n)
         kernel_reason: Optional[str] = None
         if self._wants_finite_kernel(request):
             try:
@@ -557,16 +592,12 @@ class DirectEngine(Engine):
                 kernel_reason = str(exc)
 
         if tracer is not None:
-            tracer.on_run_start("finite", alg.name, graph.n)
             if kernel_reason is not None:
-                tracer.on_kernel(
-                    "finite", alg.name,
-                    {"path": "fallback", "reason": kernel_reason,
-                     "entities": graph.n},
+                tracer.on_event(
+                    "kernel", engine="finite", algorithm=alg.name,
+                    path="fallback", reason=kernel_reason, entities=graph.n,
                 )
-            ball_size = len(alg.ball.words)
-            for v in graph.nodes():
-                tracer.on_view(v, alg.t, ball_size, max(0, ball_size - 1))
+            self._finite_views(alg, graph, tracer)
         before = alg.cache.stats.copy() if tracer is not None else None
         outputs: List[Any] = [
             alg.evaluate(ball_assignment_key(values, tables[v]))
@@ -581,8 +612,10 @@ class DirectEngine(Engine):
         if tracer is not None:
             # The algorithm's assignment cache outlives the run; report
             # only the lookups this run contributed.
-            tracer.on_cache("finite", alg.cache.stats.delta(before).to_dict())
-            tracer.on_run_end(alg.t)
+            tracer.on_event(
+                "cache", engine="finite", **alg.cache.stats.delta(before).to_dict()
+            )
+            tracer.on_event("run_end", rounds=alg.t)
         info: Dict[str, Any] = {}
         if kernel_reason is not None:
             info = {"kernel": "fallback", "kernel_reason": kernel_reason}

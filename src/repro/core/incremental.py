@@ -47,7 +47,7 @@ from ..graphs.graph import Edge, edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model.batch_views import expander_for
 from ..local_model.views import gather_edge_view, gather_view
-from .direct import DirectEngine
+from .direct import DirectEngine, trace_view
 from .engine import Engine, SimReport, SimRequest
 
 __all__ = ["IncrementalEngine"]
@@ -145,19 +145,17 @@ class IncrementalEngine(Engine):
         state = _State("view", request, graph)
         state.radius = radius = algorithm.radius
         if tracer is not None:
-            tracer.on_run_start("view", algorithm.name, graph.n)
+            tracer.on_event(
+                "run_start", engine="view", algorithm=algorithm.name, n=graph.n
+            )
         part = expander_for(graph, "csr").node_classes(
             radius, ids=state.ids, inputs=state.inputs, randomness=state.randomness
         )
         if tracer is not None:
-            tracer.on_layout(
-                self.name, "csr",
-                {
-                    "requested": request.layout,
-                    "entities": graph.n,
-                    "path": part.path,
-                    "classes": part.class_count,
-                },
+            tracer.on_event(
+                "layout", engine=self.name, layout="csr",
+                requested=request.layout, entities=graph.n,
+                path=part.path, classes=part.class_count,
             )
         memo = state.memo
         for c, key in enumerate(part.keys):
@@ -166,15 +164,13 @@ class IncrementalEngine(Engine):
                 ids=state.ids, inputs=state.inputs, randomness=state.randomness,
             )
             if tracer is not None:
-                tracer.on_view(
-                    part.reps[c], view.radius, view.node_count, len(view.edges)
-                )
+                trace_view(tracer, part.reps[c], view)
             memo[key] = algorithm.output(view)
         keys = part.keys
         state.node_keys = [keys[c] for c in part.labels]
         state.outputs = [memo[k] for k in state.node_keys]
         if tracer is not None:
-            tracer.on_run_end(radius)
+            tracer.on_event("run_end", rounds=radius)
         report = SimReport(
             kind="view",
             outputs=state.outputs,
@@ -192,21 +188,19 @@ class IncrementalEngine(Engine):
         state = _State("edge", request, graph)
         state.radius = radius = algorithm.view_radius()
         if tracer is not None:
-            tracer.on_run_start("edge", algorithm.name, graph.m)
+            tracer.on_event(
+                "run_start", engine="edge", algorithm=algorithm.name, n=graph.m
+            )
         edges = list(graph.edges())
         part = expander_for(graph, "csr").edge_classes(
             edges, radius,
             ids=state.ids, inputs=state.inputs, randomness=state.randomness,
         )
         if tracer is not None:
-            tracer.on_layout(
-                self.name, "csr",
-                {
-                    "requested": request.layout,
-                    "entities": graph.m,
-                    "path": part.path,
-                    "classes": part.class_count,
-                },
+            tracer.on_event(
+                "layout", engine=self.name, layout="csr",
+                requested=request.layout, entities=graph.m,
+                path=part.path, classes=part.class_count,
             )
         memo = state.memo
         for c, key in enumerate(part.keys):
@@ -215,16 +209,13 @@ class IncrementalEngine(Engine):
                 ids=state.ids, inputs=state.inputs, randomness=state.randomness,
             )
             if tracer is not None:
-                tracer.on_view(
-                    edges[part.reps[c]], view.radius, view.node_count,
-                    len(view.edges),
-                )
+                trace_view(tracer, edges[part.reps[c]], view)
             memo[key] = algorithm.output_fn(view)
         keys = part.keys
         state.edge_keys = {e: keys[part.labels[i]] for i, e in enumerate(edges)}
         state.outputs = {e: memo[k] for e, k in state.edge_keys.items()}
         if tracer is not None:
-            tracer.on_run_end(algorithm.rounds)
+            tracer.on_event("run_end", rounds=algorithm.rounds)
         report = SimReport(
             kind="edge",
             outputs=state.outputs,
@@ -350,7 +341,7 @@ class IncrementalEngine(Engine):
                 ids=ids, inputs=inputs, randomness=randomness,
             )
             if tracer is not None:
-                tracer.on_view(rep, view.radius, view.node_count, len(view.edges))
+                trace_view(tracer, rep, view)
             memo[key] = algorithm.output(view)
         outputs = list(state.outputs)
         node_keys = list(state.node_keys)
@@ -364,16 +355,11 @@ class IncrementalEngine(Engine):
                 outputs[v] = memo[key]
         state.node_keys = node_keys
         if tracer is not None:
-            tracer.on_delta(
-                self.name,
-                {
-                    "ops": len(delta.ops),
-                    "footprint": len(dirty),
-                    "classes_invalidated": invalidated,
-                    "cache_survivors": survivors,
-                    "changed_nodes": len(changed),
-                    "csr_mode": delta.csr_mode,
-                },
+            tracer.on_event(
+                "delta", engine=self.name, ops=len(delta.ops),
+                footprint=len(dirty), classes_invalidated=invalidated,
+                cache_survivors=survivors, changed_nodes=len(changed),
+                csr_mode=delta.csr_mode,
             )
         return SimReport(
             kind="view",
@@ -423,7 +409,7 @@ class IncrementalEngine(Engine):
                 ids=ids, inputs=inputs, randomness=randomness,
             )
             if tracer is not None:
-                tracer.on_view(rep, view.radius, view.node_count, len(view.edges))
+                trace_view(tracer, rep, view)
             memo[key] = algorithm.output_fn(view)
         outputs = dict(state.outputs)
         edge_keys = dict(state.edge_keys)
@@ -444,16 +430,11 @@ class IncrementalEngine(Engine):
         state.edge_keys = edge_keys
         changed = sorted({v for e in changed_edges for v in e})
         if tracer is not None:
-            tracer.on_delta(
-                self.name,
-                {
-                    "ops": len(delta.ops),
-                    "footprint": len(fp),
-                    "classes_invalidated": invalidated,
-                    "cache_survivors": survivors,
-                    "changed_nodes": len(changed),
-                    "csr_mode": delta.csr_mode,
-                },
+            tracer.on_event(
+                "delta", engine=self.name, ops=len(delta.ops),
+                footprint=len(fp), classes_invalidated=invalidated,
+                cache_survivors=survivors, changed_nodes=len(changed),
+                csr_mode=delta.csr_mode,
             )
         return SimReport(
             kind="edge",
@@ -492,16 +473,11 @@ class IncrementalEngine(Engine):
         report = self._rewrap(self._direct.run(new_request, tracer))
         changed = self._diff_outputs(state.outputs, report.outputs)
         if tracer is not None:
-            tracer.on_delta(
-                self.name,
-                {
-                    "ops": len(delta.ops),
-                    "footprint": graph.n,
-                    "classes_invalidated": 0,
-                    "cache_survivors": 0,
-                    "changed_nodes": len(changed),
-                    "csr_mode": delta.csr_mode,
-                },
+            tracer.on_event(
+                "delta", engine=self.name, ops=len(delta.ops),
+                footprint=graph.n, classes_invalidated=0,
+                cache_survivors=0, changed_nodes=len(changed),
+                csr_mode=delta.csr_mode,
             )
         report.changed_nodes = changed
         report.info["csr_mode"] = delta.csr_mode

@@ -35,8 +35,8 @@ on :meth:`~repro.core.engine.SimReport.identity` to a cold direct run
 (a lambda ``output_fn``, an unrecognized attribute object) is served
 from a fresh private table instead of a shared one, trading warmth for
 certainty.  The conformance ``service-identity`` axis and
-``tests/test_service_parity.py`` prove the contract; the ``on_service``
-tracer hook and ``service_*`` counters make the cache visible.
+``tests/test_service_parity.py`` prove the contract; the ``service``
+tracer event and ``service_*`` counters make the cache visible.
 
 ``local`` and ``finite`` requests have no view classes to share;
 :meth:`ServiceEngine.run_many` batches them through an internal
@@ -101,7 +101,7 @@ def algorithm_cache_key(algorithm: Any) -> Optional[Tuple[Any, ...]]:
     lambda ``output_fn``, an arbitrary object): the service then serves
     the request from a fresh private table — always correct, never
     warm.  :class:`ServiceEngine` reports such requests as
-    ``unkeyable`` through the ``on_service`` hook.
+    ``unkeyable`` through the ``service`` tracer event.
     """
     cls = type(algorithm)
     key: List[Any] = [cls.__module__, cls.__qualname__]
@@ -361,7 +361,7 @@ class ServiceEngine(Engine):
         :class:`~repro.core.cached.CachedEngine` whose memo table is
         the algorithm's cross-request table; ``local`` / ``finite``
         requests have no view classes and pass through with direct
-        semantics.  Fires one ``on_service`` event per request.
+        semantics.  Fires one ``service`` event per request.
         """
         tracer = effective_tracer(tracer)
         counters = self.counters
@@ -387,20 +387,36 @@ class ServiceEngine(Engine):
             "unkeyable": unkeyable,
         }
         if tracer is not None:
-            tracer.on_service(self.name, {
-                "event": "request",
-                "kind": request.kind,
-                "requests": 1,
-                "table_hits": int(table_warm),
-                "table_misses": int(request.kind in ("view", "edge") and not table_warm),
-                "graph_hits": int(graph_warm),
-                "graph_misses": int(not graph_warm),
-                "evictions": evicted,
-                "bytes": self.total_bytes(),
-                "tables": len(self._tables),
-                "unkeyable": unkeyable,
-            })
+            self._service_event(
+                tracer, request.kind, table_warm=table_warm,
+                graph_warm=graph_warm, evictions=evicted, unkeyable=unkeyable,
+            )
         return report
+
+    def _service_event(
+        self,
+        tracer: Tracer,
+        kind: str,
+        table_warm: bool = False,
+        graph_warm: Optional[bool] = None,
+        evictions: int = 0,
+        unkeyable: bool = False,
+    ) -> None:
+        """Fire the ``service`` event of one served request.
+
+        ``graph_warm`` is ``None`` for requests pooled through
+        :meth:`run_many`, which never consult the warm-graph LRU and so
+        count as neither a graph hit nor a miss.
+        """
+        tracer.on_event(
+            "service", engine=self.name, event="request", kind=kind, requests=1,
+            table_hits=int(table_warm),
+            table_misses=int(kind in ("view", "edge") and not table_warm),
+            graph_hits=int(graph_warm is True),
+            graph_misses=int(graph_warm is False),
+            evictions=evictions, bytes=self.total_bytes(),
+            tables=len(self._tables), unkeyable=unkeyable,
+        )
 
     def run_many(
         self,
@@ -432,19 +448,7 @@ class ServiceEngine(Engine):
             for i in pooled_idx:
                 self.counters["requests"] += 1
                 if tracer_eff is not None:
-                    tracer_eff.on_service(self.name, {
-                        "event": "request",
-                        "kind": requests[i].kind,
-                        "requests": 1,
-                        "table_hits": 0,
-                        "table_misses": 0,
-                        "graph_hits": 0,
-                        "graph_misses": 0,
-                        "evictions": 0,
-                        "bytes": self.total_bytes(),
-                        "tables": len(self._tables),
-                        "unkeyable": False,
-                    })
+                    self._service_event(tracer_eff, requests[i].kind)
             pooled_set = set(pooled_idx)
         else:
             pooled_set = set()

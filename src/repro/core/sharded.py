@@ -30,13 +30,12 @@ the same dedup-and-broadcast plan, and the report's ``info["pooled"]``
 says which path ran.  When the degraded path runs for a *reason* —
 unpicklable payload, forbidden fork, a worker that died or raised, a
 pool that stopped answering within ``timeout`` — the reason string is
-surfaced as ``info["degraded"]`` and fired through
-:meth:`~repro.instrumentation.tracer.Tracer.on_degraded`, so metrics
-and artifacts record every fallback (the conformance fault-injection
-suite, ``repro.conformance.faults``, asserts these paths).  ``local``
-requests (round-synchronous message passing) and ``finite`` requests
-(already memoized by the algorithm's own assignment cache) fall back to
-direct semantics.  Results are bit-identical to the other backends in
+surfaced as ``info["degraded"]`` and fired as a ``degraded`` tracer
+event, so metrics and artifacts record every fallback (the conformance
+fault-injection suite, ``repro.conformance.faults``, asserts these
+paths).  ``local`` requests (round-synchronous message passing) and
+``finite`` requests (already memoized by the algorithm's own assignment
+cache) fall back to direct semantics.  Results are bit-identical to the other backends in
 every case — the differential suite proves it.
 
 :meth:`ShardedEngine.run_many` is the second axis the paper's workload
@@ -117,8 +116,8 @@ def _run_request_chunk_metrics(
     """Like :func:`_run_request_chunk`, but each request runs under a
     fresh worker-side :class:`~repro.instrumentation.metrics.MetricsTracer`
     whose folded counters ride back with the report — the parent relays
-    them through :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`
-    so cache/layout/kernel activity inside workers is never lost."""
+    them as ``subrun`` tracer events so cache/layout/kernel activity
+    inside workers is never lost."""
     from ..instrumentation.metrics import MetricsTracer
 
     inner, requests = payload
@@ -249,7 +248,7 @@ class ShardedEngine(DirectEngine):
         seeds = self._shard_seeds(request, len(chunks))
         if tracer is not None:
             for i, (chunk, seed) in enumerate(zip(chunks, seeds)):
-                tracer.on_shard(i, len(chunk), seed)
+                tracer.on_event("shard", index=i, items=len(chunk), seed=seed)
         shared = ball_inputs(request)
         payloads = [shared + (chunk,) for chunk in chunks]
         pooled, degraded = False, None
@@ -269,7 +268,7 @@ class ShardedEngine(DirectEngine):
         if not pooled:
             chunk_outputs = [_eval_chunk(payload) for payload in payloads]
         if degraded is not None and tracer is not None:
-            tracer.on_degraded(self.name, degraded)
+            tracer.on_event("degraded", engine=self.name, reason=degraded)
         return (
             [out for chunk in chunk_outputs for out in chunk],
             pooled,
@@ -290,7 +289,7 @@ class ShardedEngine(DirectEngine):
         table, pooled, degraded = self._evaluate_shards(request, reps, tracer)
         if tracer is not None:
             lookups, distinct = len(part.labels), len(reps)
-            tracer.on_cache(request.kind, CacheStats(
+            tracer.on_event("cache", engine=request.kind, **CacheStats(
                 lookups=lookups,
                 hits=lookups - distinct,
                 misses=distinct,
@@ -346,15 +345,12 @@ class ShardedEngine(DirectEngine):
         ``pool-error`` reason.
 
         Metrics folding happens in one assembly pass *after* all
-        evaluation: exactly one
-        :meth:`~repro.instrumentation.tracer.Tracer.on_subrun` per
-        request and one
-        :meth:`~repro.instrumentation.tracer.Tracer.on_degraded` per
-        degraded chunk, on every path.  (The previous implementation
-        relayed pooled metrics inside its ``try`` block, so an
-        exception raised after a partial relay fell through to a serial
-        mirror that re-folded the whole batch — double-counting every
-        ``cache_*`` counter.  The single-pass assembly makes that
+        evaluation: exactly one ``subrun`` tracer event per request and
+        one ``degraded`` event per degraded chunk, on every path.  (The
+        previous implementation relayed pooled metrics inside its
+        ``try`` block, so an exception raised after a partial relay fell
+        through to a serial mirror that re-folded the whole batch —
+        double-counting every ``cache_*`` counter.  The single-pass assembly makes that
         impossible; ``tests/test_run_many_folding.py`` pins the folded
         totals against per-shard sums.)
         """
@@ -366,7 +362,7 @@ class ShardedEngine(DirectEngine):
         if tracer is not None:
             for i, chunk in enumerate(chunks):
                 seed = derive_seed(self.base_seed, f"run-many:shard-{i}")
-                tracer.on_shard(i, len(chunk), seed)
+                tracer.on_event("shard", index=i, items=len(chunk), seed=seed)
         # Per-chunk degradation decision.  A single-chunk batch runs
         # in-process as a happy path (no pool to degrade from), exactly
         # like _evaluate_shards.
@@ -411,11 +407,11 @@ class ShardedEngine(DirectEngine):
         for i, chunk in enumerate(chunks):
             reason = reasons[i] if multi else None
             if reason is not None and tracer is not None:
-                tracer.on_degraded(self.name, reason)
+                tracer.on_event("degraded", engine=self.name, reason=reason)
             for item in results[i]:
                 if traced:
                     report, metrics = item
-                    tracer.on_subrun(metrics)
+                    tracer.on_event("subrun", metrics=metrics)
                 else:
                     report = item
                 if reason is not None:

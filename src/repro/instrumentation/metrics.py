@@ -13,7 +13,7 @@ downstream consumers can treat it as stable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from .sizes import SizeEstimator, estimate_size
@@ -35,15 +35,7 @@ class RoundMetrics:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "round": self.round,
-            "active": self.active,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "bits_sent": self.bits_sent,
-            "halts": self.halts,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -60,21 +52,16 @@ class RunMetrics:
     computing entity, each a hit or a miss; ``cache_hit_rate`` is the
     fraction served from the cache.  Kernel-layout runs populate the
     ``kernel_*`` counters (``kernel_vectorized`` + ``kernel_fallbacks``
-    == ``kernel_runs``; see
-    :meth:`~repro.instrumentation.tracer.Tracer.on_kernel`).  The
-    sharded engine populates ``shards`` and, when it falls back to an
-    in-process path, ``degradations`` / ``degraded_reasons`` (see
-    :meth:`~repro.instrumentation.tracer.Tracer.on_degraded`); its
+    == ``kernel_runs``), one per ``kernel`` event.  The sharded engine
+    populates ``shards`` and, when it falls back to an in-process path,
+    ``degradations`` / ``degraded_reasons`` (``degraded`` events); its
     batch runs fold each worker-side request's counters back in through
-    :meth:`~repro.instrumentation.tracer.Tracer.on_subrun`,
-    incrementing ``subruns`` once per folded request.  The incremental
-    engine populates the ``delta_*`` counters, one
-    :meth:`~repro.instrumentation.tracer.Tracer.on_delta` event per
-    applied :class:`~repro.graphs.delta.GraphDelta`: dirty-footprint
-    size, classes evaluated fresh vs served from the memo, and entities
-    whose class actually changed.  The service engine populates the
-    ``service_*`` counters, one
-    :meth:`~repro.instrumentation.tracer.Tracer.on_service` event per
+    ``subrun`` events, incrementing ``subruns`` once per folded request.
+    The incremental engine populates the ``delta_*`` counters, one
+    ``delta`` event per applied :class:`~repro.graphs.delta.GraphDelta`:
+    dirty-footprint size, classes evaluated fresh vs served from the
+    memo, and entities whose class actually changed.  The service engine
+    populates the ``service_*`` counters, one ``service`` event per
     served request: whether the request's algorithm and graph found
     warm cross-request entries, how many whole tables the LRU sweep
     evicted, and — ``service_bytes``, a snapshot rather than a sum —
@@ -135,60 +122,21 @@ class RunMetrics:
         return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict (the artifact ``metrics`` schema)."""
-        return {
-            "engine": self.engine,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "rounds": self.rounds,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "bits_sent": self.bits_sent,
-            "views_gathered": self.views_gathered,
-            "view_nodes": self.view_nodes,
-            "view_edges": self.view_edges,
-            "trials": self.trials,
-            "trial_successes": self.trial_successes,
-            "cache_lookups": self.cache_lookups,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_bytes": self.cache_bytes,
-            "cache_distinct_classes": self.cache_distinct_classes,
-            "cache_hit_rate": self.cache_hit_rate,
-            "layout_dict_runs": self.layout_dict_runs,
-            "layout_csr_runs": self.layout_csr_runs,
-            "layout_kernel_runs": self.layout_kernel_runs,
-            "layout_fallbacks": self.layout_fallbacks,
-            "layout_entities": self.layout_entities,
-            "layout_classes": self.layout_classes,
-            "kernel_runs": self.kernel_runs,
-            "kernel_vectorized": self.kernel_vectorized,
-            "kernel_fallbacks": self.kernel_fallbacks,
-            "kernel_entities": self.kernel_entities,
-            "kernel_classes": self.kernel_classes,
-            "delta_applies": self.delta_applies,
-            "delta_footprint": self.delta_footprint,
-            "delta_classes_invalidated": self.delta_classes_invalidated,
-            "delta_cache_survivors": self.delta_cache_survivors,
-            "delta_changed_nodes": self.delta_changed_nodes,
-            "service_requests": self.service_requests,
-            "service_table_hits": self.service_table_hits,
-            "service_table_misses": self.service_table_misses,
-            "service_graph_hits": self.service_graph_hits,
-            "service_graph_misses": self.service_graph_misses,
-            "service_evictions": self.service_evictions,
-            "service_bytes": self.service_bytes,
-            "subruns": self.subruns,
-            "shards": self.shards,
-            "degradations": self.degradations,
-            "degraded_reasons": list(self.degraded_reasons),
-            "wall_seconds": self.wall_seconds,
-            # JSON objects have string keys; keep them sorted for diffs.
-            "halt_histogram": {
-                str(k): self.halt_histogram[k] for k in sorted(self.halt_histogram)
-            },
-            "per_round": [r.to_dict() for r in self.per_round],
+        """JSON-ready dict (the artifact ``metrics`` schema): every field
+        in declaration order, with the derived ``cache_hit_rate`` right
+        after the ``cache_*`` counters it is computed from."""
+        data: Dict[str, Any] = {}
+        for f in fields(self):
+            data[f.name] = getattr(self, f.name)
+            if f.name == "cache_distinct_classes":
+                data["cache_hit_rate"] = self.cache_hit_rate
+        data["degraded_reasons"] = list(self.degraded_reasons)
+        # JSON objects have string keys; keep them sorted for diffs.
+        data["halt_histogram"] = {
+            str(k): self.halt_histogram[k] for k in sorted(self.halt_histogram)
         }
+        data["per_round"] = [r.to_dict() for r in self.per_round]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunMetrics":
@@ -201,19 +149,32 @@ class RunMetrics:
         — are ignored rather than rejected.  Derived values such as
         ``cache_hit_rate`` are recomputed, never read back.
         """
-        known = {f.name for f in fields(cls)}
-        kwargs: Dict[str, Any] = {
-            k: v for k, v in data.items() if k in known
-        }
+        kwargs = _known_fields(cls, data)
         kwargs["halt_histogram"] = {
             int(k): v for k, v in data.get("halt_histogram", {}).items()
         }
-        round_known = {f.name for f in fields(RoundMetrics)}
         kwargs["per_round"] = [
-            RoundMetrics(**{k: v for k, v in r.items() if k in round_known})
+            RoundMetrics(**_known_fields(RoundMetrics, r))
             for r in data.get("per_round", [])
         ]
         return cls(**kwargs)
+
+
+def _known_fields(cls: type, data: Dict[str, Any]) -> Dict[str, Any]:
+    """The entries of ``data`` that name a field of dataclass ``cls``."""
+    known = {f.name for f in fields(cls)}
+    return {k: v for k, v in data.items() if k in known}
+
+
+#: Counters a ``subrun`` event folds additively from a worker's
+#: metrics: every ``int`` field except the run's own size (``n``,
+#: ``rounds``), the parent's fan-out bookkeeping (``subruns``,
+#: ``shards``), and the ``service_bytes`` snapshot.
+_SUBRUN_COUNTERS = tuple(
+    f.name for f in fields(RunMetrics)
+    if f.type in (int, "int")
+    and f.name not in {"n", "rounds", "subruns", "shards", "service_bytes"}
+)
 
 
 class MetricsTracer(Tracer):
@@ -230,9 +191,9 @@ class MetricsTracer(Tracer):
     clock:
         Injectable monotonic clock, for deterministic tests.
 
-    One tracer instance observes one run at a time; :meth:`on_run_start`
-    resets it, so reusing an instance across sequential runs keeps only
-    the last run's numbers.
+    One tracer instance observes one run at a time; a ``run_start``
+    event resets it, so reusing an instance across sequential runs
+    keeps only the last run's numbers.
     """
 
     def __init__(
@@ -249,37 +210,68 @@ class MetricsTracer(Tracer):
         self._round_started_at = 0.0
         self._run_started_at = 0.0
 
-    # -- engine hooks ---------------------------------------------------
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
-        self.metrics = RunMetrics(engine=engine, algorithm=algorithm, n=n)
+    def on_event(
+        self,
+        name: str,
+        /,
+        sender: Any = None,
+        receiver: Any = None,
+        port: Any = None,
+        payload: Any = None,
+        delivered: bool = False,
+        **attrs: Any,
+    ) -> None:
+        """Fold one event through its ``_fold_<name>`` method, if any.
+
+        ``message`` — one per sent message, inside the round loop — is
+        folded right here instead: its attributes bind to the parameters
+        above, so a message builds no ``attrs`` dict, which would
+        otherwise be most of its tracing cost.  No other event has
+        attributes of those names.
+        """
+        if name == "message":
+            bits = self.message_size(payload)
+            m = self.metrics
+            m.messages_sent += 1
+            m.bits_sent += bits
+            if delivered:
+                m.messages_delivered += 1
+            r = self._round
+            if r is not None:
+                r.messages_sent += 1
+                r.bits_sent += bits
+                if delivered:
+                    r.messages_delivered += 1
+            return
+        fold = _FOLDS.get(name)
+        if fold is not None:
+            fold(self, attrs)
+
+    def _add(self, prefix: str, attrs: Dict[str, Any], *keys: str) -> None:
+        """``metrics.<prefix><key> += attrs[key]`` for each key present."""
+        m = self.metrics
+        for key in keys:
+            name = prefix + key
+            setattr(m, name, getattr(m, name) + attrs.get(key, 0))
+
+    # -- folds of the other events, one per name --------------------------
+    def _fold_run_start(self, a: Dict[str, Any]) -> None:
+        self.metrics = RunMetrics(engine=a["engine"], algorithm=a["algorithm"], n=a["n"])
         self._round = None
         self._run_started_at = self.clock()
 
-    def on_round_start(self, round_number: int, active: int) -> None:
-        self._round = RoundMetrics(round=round_number, active=active)
+    def _fold_round_start(self, a: Dict[str, Any]) -> None:
+        self._round = RoundMetrics(round=a["round"], active=a["active"])
         self._round_started_at = self.clock()
 
-    def on_message(
-        self, sender: int, receiver: int, port: int, payload: Any, delivered: bool
-    ) -> None:
-        bits = self.message_size(payload)
-        self.metrics.messages_sent += 1
-        self.metrics.bits_sent += bits
-        if delivered:
-            self.metrics.messages_delivered += 1
-        if self._round is not None:
-            self._round.messages_sent += 1
-            self._round.bits_sent += bits
-            if delivered:
-                self._round.messages_delivered += 1
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
+    def _fold_halt(self, a: Dict[str, Any]) -> None:
+        round_number = a["round"]
         hist = self.metrics.halt_histogram
         hist[round_number] = hist.get(round_number, 0) + 1
         if self._round is not None and self._round.round == round_number:
             self._round.halts += 1
 
-    def on_round_end(self, round_number: int) -> None:
+    def _fold_round_end(self, a: Dict[str, Any]) -> None:
         if self._round is None:
             return
         self._round.wall_seconds = self.clock() - self._round_started_at
@@ -287,99 +279,81 @@ class MetricsTracer(Tracer):
             self.metrics.per_round.append(self._round)
         self._round = None
 
-    def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
-        self.metrics.views_gathered += 1
-        self.metrics.view_nodes += nodes
-        self.metrics.view_edges += edges
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        if layout == "dict":
-            self.metrics.layout_dict_runs += 1
-        elif layout == "kernel":
-            self.metrics.layout_kernel_runs += 1
-        else:
-            self.metrics.layout_csr_runs += 1
-        if info.get("path") == "python":
-            self.metrics.layout_fallbacks += 1
-        self.metrics.layout_entities += info.get("entities", 0)
-        self.metrics.layout_classes += info.get("classes", 0)
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        self.metrics.kernel_runs += 1
-        if info.get("path") == "vectorized":
-            self.metrics.kernel_vectorized += 1
-        else:
-            self.metrics.kernel_fallbacks += 1
-        self.metrics.kernel_entities += info.get("entities", 0)
-        self.metrics.kernel_classes += info.get("classes", 0)
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        self.metrics.cache_lookups += stats.get("lookups", 0)
-        self.metrics.cache_hits += stats.get("hits", 0)
-        self.metrics.cache_misses += stats.get("misses", 0)
-        self.metrics.cache_bytes += stats.get("bytes", 0)
-        self.metrics.cache_distinct_classes += stats.get("distinct_classes", 0)
-
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
+    def _fold_view(self, a: Dict[str, Any]) -> None:
         m = self.metrics
-        m.service_requests += info.get("requests", 0)
-        m.service_table_hits += info.get("table_hits", 0)
-        m.service_table_misses += info.get("table_misses", 0)
-        m.service_graph_hits += info.get("graph_hits", 0)
-        m.service_graph_misses += info.get("graph_misses", 0)
-        m.service_evictions += info.get("evictions", 0)
+        m.views_gathered += 1
+        m.view_nodes += a["nodes"]
+        m.view_edges += a["edges"]
+
+    def _fold_layout(self, a: Dict[str, Any]) -> None:
+        m = self.metrics
+        if a["layout"] == "dict":
+            m.layout_dict_runs += 1
+        elif a["layout"] == "kernel":
+            m.layout_kernel_runs += 1
+        else:
+            m.layout_csr_runs += 1
+        if a.get("path") == "python":
+            m.layout_fallbacks += 1
+        self._add("layout_", a, "entities", "classes")
+
+    def _fold_kernel(self, a: Dict[str, Any]) -> None:
+        m = self.metrics
+        m.kernel_runs += 1
+        if a.get("path") == "vectorized":
+            m.kernel_vectorized += 1
+        else:
+            m.kernel_fallbacks += 1
+        self._add("kernel_", a, "entities", "classes")
+
+    def _fold_cache(self, a: Dict[str, Any]) -> None:
+        self._add("cache_", a, "lookups", "hits", "misses", "bytes", "distinct_classes")
+
+    def _fold_service(self, a: Dict[str, Any]) -> None:
+        self._add(
+            "service_", a, "requests", "table_hits", "table_misses",
+            "graph_hits", "graph_misses", "evictions",
+        )
         # A snapshot of the live footprint, not an additive counter.
-        m.service_bytes = info.get("bytes", m.service_bytes)
+        self.metrics.service_bytes = a.get("bytes", self.metrics.service_bytes)
 
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
+    def _fold_delta(self, a: Dict[str, Any]) -> None:
         self.metrics.delta_applies += 1
-        self.metrics.delta_footprint += info.get("footprint", 0)
-        self.metrics.delta_classes_invalidated += info.get("classes_invalidated", 0)
-        self.metrics.delta_cache_survivors += info.get("cache_survivors", 0)
-        self.metrics.delta_changed_nodes += info.get("changed_nodes", 0)
+        self._add(
+            "delta_", a, "footprint", "classes_invalidated", "cache_survivors",
+            "changed_nodes",
+        )
 
-    def on_shard(self, index: int, items: int, seed: int) -> None:
+    def _fold_shard(self, a: Dict[str, Any]) -> None:
         self.metrics.shards += 1
 
-    def on_degraded(self, engine: str, reason: str) -> None:
+    def _fold_degraded(self, a: Dict[str, Any]) -> None:
         self.metrics.degradations += 1
-        self.metrics.degraded_reasons.append(reason)
+        self.metrics.degraded_reasons.append(a["reason"])
 
-    #: Counters :meth:`on_subrun` folds additively from worker metrics.
-    _SUBRUN_COUNTERS = (
-        "messages_sent", "messages_delivered", "bits_sent",
-        "views_gathered", "view_nodes", "view_edges",
-        "trials", "trial_successes",
-        "cache_lookups", "cache_hits", "cache_misses", "cache_bytes",
-        "cache_distinct_classes",
-        "layout_dict_runs", "layout_csr_runs", "layout_kernel_runs",
-        "layout_fallbacks", "layout_entities", "layout_classes",
-        "kernel_runs", "kernel_vectorized", "kernel_fallbacks",
-        "kernel_entities", "kernel_classes",
-        "delta_applies", "delta_footprint", "delta_classes_invalidated",
-        "delta_cache_survivors", "delta_changed_nodes",
-        "service_requests", "service_table_hits", "service_table_misses",
-        "service_graph_hits", "service_graph_misses", "service_evictions",
-        "degradations",
-    )
+    def _fold_subrun(self, a: Dict[str, Any]) -> None:
+        self.metrics.subruns += 1
+        self._add("", a["metrics"], *_SUBRUN_COUNTERS)
+        self.metrics.degraded_reasons.extend(a["metrics"].get("degraded_reasons", ()))
 
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        m = self.metrics
-        m.subruns += 1
-        for name in self._SUBRUN_COUNTERS:
-            setattr(m, name, getattr(m, name) + metrics.get(name, 0))
-        m.degraded_reasons.extend(metrics.get("degraded_reasons", ()))
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
+    def _fold_trial(self, a: Dict[str, Any]) -> None:
         self.metrics.trials += 1
-        if succeeded:
+        if a["succeeded"]:
             self.metrics.trial_successes += 1
 
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        self.metrics.rounds = rounds
+    def _fold_run_end(self, a: Dict[str, Any]) -> None:
+        self.metrics.rounds = a["rounds"]
         self.metrics.wall_seconds = self.clock() - self._run_started_at
 
     # -- conveniences ---------------------------------------------------
     def report(self) -> Dict[str, Any]:
         """The JSON-ready metrics dict of the last observed run."""
         return self.metrics.to_dict()
+
+
+#: Event name -> fold: the ``MetricsTracer._fold_<name>`` methods.
+_FOLDS = {
+    name[len("_fold_"):]: fold
+    for name, fold in vars(MetricsTracer).items()
+    if name.startswith("_fold_")
+}

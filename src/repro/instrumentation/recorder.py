@@ -1,7 +1,7 @@
-"""Full-fidelity event log: every hook call, in order, exportable.
+"""Full-fidelity event log: every engine event, in order, exportable.
 
 Where :class:`~repro.instrumentation.metrics.MetricsTracer` aggregates,
-:class:`TraceRecorder` *remembers*: each engine hook appends one
+:class:`TraceRecorder` *remembers*: each engine event appends one
 :class:`TraceEvent` with a monotonically increasing sequence number.
 The log exports to JSON (one array) or JSONL (one event per line — the
 format ``docs/ENGINE.md`` walks through), and loads back for assertion
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .sizes import SizeEstimator, estimate_size
 from .tracer import Tracer
@@ -37,14 +37,23 @@ def jsonable(value: Any) -> Any:
 
 @dataclass
 class TraceEvent:
-    """One recorded hook call."""
+    """One recorded event: ``kind`` is the event name, ``data`` its
+    attributes."""
 
     seq: int
     kind: str
     data: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"seq": self.seq, "kind": self.kind, **jsonable(self.data)}
+        """The export form.  An attribute that shares a name with the
+        envelope (the ``service`` event's request ``kind``) is exported
+        prefixed with the event name (``service_kind``), so ``kind``
+        always names the event."""
+        data = {
+            f"{self.kind}_{k}" if k in ("seq", "kind") else k: v
+            for k, v in self.data.items()
+        }
+        return {"seq": self.seq, "kind": self.kind, **jsonable(data)}
 
 
 class TraceRecorder(Tracer):
@@ -68,61 +77,17 @@ class TraceRecorder(Tracer):
         self.message_size: SizeEstimator = message_size or estimate_size
         self.events: List[TraceEvent] = []
 
-    def _emit(self, kind: str, **data: Any) -> None:
-        self.events.append(TraceEvent(seq=len(self.events), kind=kind, data=data))
-
-    # -- engine hooks ---------------------------------------------------
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
-        self._emit("run_start", engine=engine, algorithm=algorithm, n=n, **info)
-
-    def on_round_start(self, round_number: int, active: int) -> None:
-        self._emit("round_start", round=round_number, active=active)
-
-    def on_message(
-        self, sender: int, receiver: int, port: int, payload: Any, delivered: bool
-    ) -> None:
-        data: Dict[str, Any] = {
-            "sender": sender,
-            "receiver": receiver,
-            "port": port,
-            "bits": self.message_size(payload),
-            "delivered": delivered,
-        }
-        if self.record_payloads:
-            data["payload"] = payload
-        self._emit("message", **data)
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        data: Dict[str, Any] = {"node": node, "round": round_number}
-        if self.record_payloads:
-            data["output"] = output
-        self._emit("halt", **data)
-
-    def on_round_end(self, round_number: int) -> None:
-        self._emit("round_end", round=round_number)
-
-    def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
-        self._emit("view", center=center, radius=radius, nodes=nodes, edges=edges)
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        self._emit("layout", engine=engine, layout=layout, **info)
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        self._emit("cache", engine=engine, **stats)
-
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        self._emit("shard", index=index, items=items, seed=seed)
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        self._emit(
-            "trial", index=index, succeeded=succeeded, failing_nodes=failing_nodes
-        )
-
-    def on_stage(self, kind: str, radius: int, info: Dict[str, Any]) -> None:
-        self._emit("stage", stage_kind=kind, radius=radius, **info)
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        self._emit("run_end", rounds=rounds, **info)
+    def on_event(self, name: str, /, **attrs: Any) -> None:
+        if name == "message":
+            # Annotate with the payload's size, ahead of ``delivered``.
+            payload = attrs.pop("payload")
+            attrs["bits"] = self.message_size(payload)
+            attrs["delivered"] = attrs.pop("delivered")
+            if self.record_payloads:
+                attrs["payload"] = payload
+        elif name == "halt" and not self.record_payloads:
+            del attrs["output"]
+        self.events.append(TraceEvent(seq=len(self.events), kind=name, data=attrs))
 
     # -- querying -------------------------------------------------------
     def of_kind(self, kind: str) -> List[TraceEvent]:

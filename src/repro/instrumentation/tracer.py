@@ -6,228 +6,195 @@ A *tracer* is a passive observer handed to an engine entry point
 :func:`~repro.local_model.edge_model.run_edge_view_algorithm`,
 :func:`~repro.speedup.finite_runner.run_node_algorithm_on_oriented_graph`,
 :func:`~repro.speedup.pipeline.run_speedup_pipeline`) via the optional
-``tracer=`` keyword.  Engines call the hooks below at well-defined
-points; tracers never influence execution — an instrumented run must
-produce the exact same :class:`~repro.local_model.network.ExecutionResult`
-as an uninstrumented one.
+``tracer=`` keyword.  Engines report each *event* at a well-defined
+point through the one hook, ``tracer.on_event(name, **attrs)``;
+tracers never influence execution — an instrumented run must produce
+the exact same :class:`~repro.local_model.network.ExecutionResult` as
+an uninstrumented one.
 
 Zero-overhead contract
 ----------------------
 ``tracer=None`` (the default) and ``tracer=NullTracer()`` are the *same
 path*: engines normalize both to ``None`` via :func:`effective_tracer`
-and guard every hook site with a single ``if tracer is not None``.  No
+and guard every event site with a single ``if tracer is not None``.  No
 event objects are built, no sizes estimated, no clocks read.  This is
 what lets every benchmark in ``benchmarks/`` keep its numbers while the
 observability layer exists.
 
-Event vocabulary
-----------------
-==================  ====================================================
-hook                fired by
-==================  ====================================================
-on_run_start        every engine, once, before any work
-on_round_start      message-passing engine, once per synchronous round
-on_message          message-passing engine, once per sent message
-on_halt             message-passing engine, when a node commits + stops
-on_round_end        message-passing engine, after deliveries + receives
-on_view             view engines, once per materialized ball
-on_layout           view engines, once per run, with the resolved
-                    graph layout (dict vs batched CSR vs kernel) and
-                    class counts
-on_kernel           kernel-layout runs, once per run, saying whether the
-                    vectorized kernel or the exact Python fallback ran
-on_cache            cached engines, once per run, with lookup stats
-on_service          service engine, once per served request, with
-                    cross-request cache counters (evictions ride the
-                    event that triggered them)
-on_delta            incremental engine, once per applied GraphDelta,
-                    with footprint / invalidation / survivor counts
-on_shard            sharded engine, once per dispatched shard
-on_subrun           sharded batch runs, once per worker-side request,
-                    with that subrun's folded metrics dict
-on_trial            finite runner, once per Monte Carlo trial
-on_stage            speedup pipeline, once per ladder stage
-on_run_end          every engine, once, after the result is assembled
-==================  ====================================================
+Events
+------
+==============  ==============================  ==========================
+event           attributes                      fired by
+==============  ==============================  ==========================
+``run_start``   ``engine, algorithm, n,         every engine, once, before
+                **info``                        any work
+``round_start`` ``round, active``               message passing, once per
+                                                synchronous round
+``message``     ``sender, receiver, port,       message passing, once per
+                payload, delivered``            sent message
+``halt``        ``node, round, output``         message passing, when a
+                                                node commits + stops
+``round_end``   ``round``                       message passing, after
+                                                deliveries + receives
+``view``        ``center, radius, nodes,        view engines, once per
+                edges``                         materialized ball
+``layout``      ``engine, layout, requested,    view/edge runs, once per
+                entities[, classes, path]``     run
+``kernel``      ``engine, algorithm, path,      kernel-layout runs, once
+                reason, entities[, classes |    per run
+                rounds]``
+``cache``       ``engine, lookups, hits,        memoizing engines, once
+                misses, bytes,                  per run
+                distinct_classes, hit_rate``
+``service``     ``engine, event, kind,          service engine, once per
+                requests, table_hits,           served request
+                table_misses, graph_hits,
+                graph_misses, evictions,
+                bytes, tables, unkeyable``
+``delta``       ``engine, ops, footprint,       incremental engine, once
+                classes_invalidated,            per applied GraphDelta
+                cache_survivors,
+                changed_nodes, csr_mode``
+``shard``       ``index, items, seed``          sharded engine, once per
+                                                dispatched shard
+``degraded``    ``engine, reason``              sharded engine, per
+                                                in-process fallback
+``subrun``      ``metrics``                     sharded batch runs, once
+                                                per worker-side request
+``trial``       ``index, succeeded,             finite runner, once per
+                failing_nodes``                 Monte Carlo trial
+``stage``       ``stage_kind, radius, name,     speedup pipeline, once per
+                measured_failure,               ladder rung
+                lemma_bound, threshold``
+``run_end``     ``rounds, **info``              every engine, once, after
+                                                the result is assembled
+==============  ==============================  ==========================
 
 ``engine`` strings: ``"local"`` (message passing), ``"view"`` (node
 views), ``"edge"`` (edge views), ``"finite"`` (oriented finite runner),
-``"pipeline"`` (speedup ladder).
+``"pipeline"`` (speedup ladder); the ``layout``, ``service``,
+``delta`` and ``degraded`` events name the backend instead
+(``"direct"``, ``"cached"``, ...).
+
+``run_start``
+    ``n`` counts nodes (or edges/trials — engine-specific); the Monte
+    Carlo estimate adds ``trials``.  ``run_end``'s ``rounds`` is the
+    engine's round count.
+``round_start`` / ``halt`` / ``round_end``
+    A synchronous round begins with ``active`` non-halted nodes;
+    ``node`` commits ``output`` and goes silent after round ``round``
+    (round 0 = during ``init``); the round's sends, deliveries and
+    receives are all done.
+``message``
+    One message crosses (or fails to cross) an edge.  ``port`` is the
+    *sender's* port.  ``delivered`` is False when the receiver has
+    already halted — the model drops the message, but the sender still
+    paid for it, so bandwidth accounting sees both.
+``view``
+    A radius-``radius`` ball was materialized around ``center`` (a
+    node, or the ``(u, v)`` pair for edge views).  ``nodes``/``edges``
+    size the ball — the view-engine analogue of bandwidth (everything
+    in the ball crossed the wire to reach the center in the
+    operational model).
+``layout``
+    Which graph layout served a ``view`` / ``edge`` run, fired once per
+    run by every backend.  ``layout`` is the resolved layout name
+    (``"dict"`` for the reference signatures, ``"csr"`` for the batched
+    expander, or a registered fixture layout); ``requested`` is the
+    request's knob (e.g. ``"auto"``).  Every run that partitions into
+    classes (all but the direct backend's per-entity ``"dict"`` loop)
+    adds ``classes`` (the partition size), and expander-backed layouts
+    add ``path`` (``"numpy"`` or the exact ``"python"`` fallback).
+``kernel``
+    Which execution path served a run that resolved to
+    ``layout="kernel"`` (see ``docs/KERNELS.md``), fired once per run by
+    every backend.  ``path`` is ``"vectorized"`` when a registered
+    NumPy kernel ran, ``"fallback"`` when the exact per-entity Python
+    path did; ``reason`` says why the fallback ran (``"no-kernel"``,
+    ``"unsupported: ..."``, ``"python-partition"``; ``None`` on the
+    vectorized path).  View/edge kinds add ``classes`` (the partition
+    size), the vectorized local kind ``rounds``.  Kernel choice never
+    changes results — only how they were computed.
+``cache``
+    A memoizing engine's per-run cache statistics, fired once just
+    before ``run_end`` by the cached view engines and the finite
+    runner: the JSON-ready form of
+    :class:`~repro.local_model.cache.CacheStats`, covering this run
+    only even when the underlying cache is shared across runs.
+``service``
+    Cross-request cache activity of
+    :class:`~repro.core.service.ServiceEngine`, once per served request
+    after the run completes.  ``event`` is ``"request"`` (or
+    ``"evict"``), ``kind`` the request's kind, ``requests`` 1 for a
+    request event; ``table_hits`` / ``table_misses`` say whether the
+    request's algorithm found a warm cross-request class table,
+    ``graph_hits`` / ``graph_misses`` whether its graph found a warm
+    frozen/CSR layout; ``evictions`` counts whole tables dropped by the
+    LRU sweep during this event; ``bytes`` (the estimated footprint of
+    all live tables) and ``tables`` are snapshots, not additive;
+    ``unkeyable`` is true when the algorithm could not be given a
+    stable cross-request key (the run was served correctly from a fresh
+    private table).  Serving from the service cache never changes
+    results — responses stay bit-identical to a cold direct run.
+``delta``
+    :meth:`~repro.core.incremental.IncrementalEngine.apply` applied one
+    :class:`~repro.graphs.delta.GraphDelta`: ``ops`` (batch size),
+    ``footprint`` (dirty nodes re-partitioned),
+    ``classes_invalidated`` (classes evaluated fresh),
+    ``cache_survivors`` (dirty classes served from the memo),
+    ``changed_nodes`` (entities whose class actually changed), and
+    ``csr_mode`` (``"patch"`` / ``"recompile"`` / ``"lazy"`` — how the
+    mutated graph's CSR layout was produced).  Deltas never change
+    results relative to a fresh run on the mutated graph — only how
+    much work it took.
+``shard``
+    ``items`` counts the view-equivalence classes (or requests, for
+    batch runs) in the shard; ``seed`` is the shard's sha256-derived
+    seed (:func:`~repro.core.engine.derive_seed`'s scheme).
+``degraded``
+    A backend fell back to a slower-but-correct execution path: the
+    sharded engine could not use its process pool (or it stopped
+    responding) and the run continued in-process.  ``reason`` is a
+    short machine-checkable string (``"unpicklable"``, ``"no-fork"``,
+    ``"pool-error: ..."``).  Degradation never changes results — only
+    how they were computed — and the matching
+    :class:`~repro.core.SimReport` carries the same reason under
+    ``info["degraded"]``.
+``subrun``
+    A fanned-out subrun of the sharded engine's
+    :meth:`~repro.core.engine.Engine.run_many` finished: each
+    worker-side run is observed by its own
+    :class:`~repro.instrumentation.metrics.MetricsTracer`, and
+    ``metrics`` is its
+    :meth:`~repro.instrumentation.metrics.RunMetrics.to_dict` payload
+    relayed to the parent — so cache/layout/kernel counters from worker
+    processes are never lost.  :class:`MetricsTracer` folds the
+    additive counters into the parent's
+    :class:`~repro.instrumentation.metrics.RunMetrics`.
+``trial`` / ``stage``
+    One Monte Carlo trial of the finite runner finished; one rung of
+    the speedup ladder was constructed and measured.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 __all__ = ["Tracer", "NullTracer", "MultiTracer", "effective_tracer"]
 
 
 class Tracer:
-    """Base tracer: every hook is a no-op.
+    """Base tracer: every event is ignored.
 
-    Subclass and override the hooks you care about; see
-    :class:`~repro.instrumentation.metrics.MetricsTracer` for an
-    aggregating example and
+    Subclass and override :meth:`on_event`, dispatching on the event
+    name; see :class:`~repro.instrumentation.metrics.MetricsTracer` for
+    an aggregating example and
     :class:`~repro.instrumentation.recorder.TraceRecorder` for a
     full-fidelity event log.
     """
 
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
-        """A run begins: ``n`` nodes (or edges/trials — engine-specific)."""
-
-    def on_round_start(self, round_number: int, active: int) -> None:
-        """A synchronous round begins with ``active`` non-halted nodes."""
-
-    def on_message(
-        self,
-        sender: int,
-        receiver: int,
-        port: int,
-        payload: Any,
-        delivered: bool,
-    ) -> None:
-        """One message crosses (or fails to cross) an edge.
-
-        ``port`` is the *sender's* port.  ``delivered`` is False when the
-        receiver has already halted — the model drops the message, but
-        the sender still paid for it, so bandwidth accounting sees both.
-        """
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        """``node`` commits ``output`` and goes silent after this round."""
-
-    def on_round_end(self, round_number: int) -> None:
-        """The round's sends, deliveries, and receives are all done."""
-
-    def on_view(
-        self,
-        center: Any,
-        radius: int,
-        nodes: int,
-        edges: int,
-    ) -> None:
-        """A radius-``radius`` ball was materialized around ``center``.
-
-        ``nodes``/``edges`` size the ball — the view-engine analogue of
-        bandwidth (everything in the ball crossed the wire to reach the
-        center in the operational model).
-        """
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        """A view engine reports which graph layout served the run.
-
-        Fired once per ``view`` / ``edge`` run by every backend.
-        ``layout`` is the resolved layout name (``"dict"`` for the
-        reference signatures, ``"csr"`` for the batched expander,
-        or a registered fixture layout); ``info`` carries ``requested``
-        (the request's knob, e.g. ``"auto"``), ``entities``, and — on
-        every run that partitions into classes (all but the direct
-        backend's per-entity ``"dict"`` loop) — ``classes`` (the
-        partition size), plus ``path`` on expander-backed layouts
-        (``"numpy"`` or the exact ``"python"`` fallback).
-        """
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        """A kernel-layout run reports which execution path served it.
-
-        Fired once per run that resolved to ``layout="kernel"`` (see
-        ``docs/KERNELS.md``), by every backend.  ``info`` carries
-        ``path`` — ``"vectorized"`` when a registered NumPy kernel ran,
-        ``"fallback"`` when the exact per-entity Python path did —
-        plus ``reason`` (why the fallback ran: ``"no-kernel"``,
-        ``"unsupported: ..."``, ``"python-partition"``; ``None`` on the
-        vectorized path), ``entities``, and, for view/edge kinds,
-        ``classes`` (the partition size) or, for the local kind,
-        ``rounds``.  Kernel choice never changes results — only how
-        they were computed.
-        """
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        """A memoizing engine reports its per-run cache statistics.
-
-        Fired once, just before :meth:`on_run_end`, by the cached view
-        engines and the finite runner.  ``stats`` is the JSON-ready
-        form of :class:`~repro.local_model.cache.CacheStats`
-        (``lookups``, ``hits``, ``misses``, ``bytes``,
-        ``distinct_classes``, ``hit_rate``), covering this run only
-        even when the underlying cache is shared across runs.
-        """
-
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
-        """The service engine reports cross-request cache activity.
-
-        Fired by :class:`~repro.core.service.ServiceEngine` once per
-        served request, after the run completes.  ``info`` carries
-        ``event`` (``"request"`` or ``"evict"``), ``requests`` (1 for a
-        request event), ``table_hits`` / ``table_misses`` (whether the
-        request's algorithm found a warm cross-request class table),
-        ``graph_hits`` / ``graph_misses`` (whether its graph found a
-        warm frozen/CSR layout), ``evictions`` (whole tables dropped by
-        the LRU sweep during this event), ``bytes`` (current estimated
-        footprint of all live tables, a snapshot — not additive), and,
-        when the algorithm could not be given a stable cross-request
-        key, ``unkeyable`` (the run was served correctly from a fresh
-        private table).  Serving from the service cache never changes
-        results — responses stay bit-identical to a cold direct run.
-        """
-
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
-        """The incremental engine applied one :class:`GraphDelta`.
-
-        Fired once per applied delta by
-        :meth:`~repro.core.incremental.IncrementalEngine.apply`.
-        ``info`` carries ``ops`` (batch size), ``footprint`` (dirty
-        nodes re-partitioned), ``classes_invalidated`` (classes
-        evaluated fresh), ``cache_survivors`` (dirty classes served
-        from the memo), ``changed_nodes`` (entities whose class
-        actually changed), and ``csr_mode`` (``"patch"`` /
-        ``"recompile"`` / ``"lazy"`` — how the mutated graph's CSR
-        layout was produced).  Deltas never change results relative to
-        a fresh run on the mutated graph — only how much work it took.
-        """
-
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        """The sharded engine dispatched one shard of work.
-
-        ``items`` counts the view-equivalence classes (or requests, for
-        batch runs) in the shard; ``seed`` is the shard's sha256-derived
-        seed (:func:`~repro.core.engine.derive_seed`'s scheme).
-        """
-
-    def on_degraded(self, engine: str, reason: str) -> None:
-        """A backend fell back to a slower-but-correct execution path.
-
-        Fired by the sharded engine whenever the process pool cannot be
-        used (or stops responding) and the run continues in-process:
-        ``reason`` is a short machine-checkable string
-        (``"unpicklable"``, ``"no-fork"``, ``"pool-error: ..."``).
-        Degradation never changes results — only how they were computed
-        — and the matching :class:`~repro.core.SimReport` carries the
-        same reason under ``info["degraded"]``.
-        """
-
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        """A fanned-out subrun finished; ``metrics`` is its folded summary.
-
-        Fired by the sharded engine's :meth:`~repro.core.engine.Engine.
-        run_many` once per request when a tracer is attached: each
-        worker-side run is observed by its own
-        :class:`~repro.instrumentation.metrics.MetricsTracer`, and the
-        resulting :meth:`~repro.instrumentation.metrics.RunMetrics.
-        to_dict` payload is relayed to the parent through this hook —
-        so cache/layout/kernel counters from worker processes are never
-        lost.  :class:`MetricsTracer` folds the additive counters into
-        the parent's :class:`~repro.instrumentation.metrics.RunMetrics`.
-        """
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        """One Monte Carlo trial of the finite runner finished."""
-
-    def on_stage(self, kind: str, radius: int, info: Dict[str, Any]) -> None:
-        """One rung of the speedup ladder was constructed and measured."""
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        """The run is over; ``rounds`` is the engine's round count."""
+    def on_event(self, name: str, /, **attrs: Any) -> None:
+        """One engine event: ``name`` and ``attrs`` per the module's event table."""
 
 
 class NullTracer(Tracer):
@@ -247,75 +214,9 @@ class MultiTracer(Tracer):
             t for t in tracers if effective_tracer(t) is not None
         )
 
-    def on_run_start(self, engine: str, algorithm: str, n: int, **info: Any) -> None:
+    def on_event(self, name: str, /, **attrs: Any) -> None:
         for t in self.tracers:
-            t.on_run_start(engine, algorithm, n, **info)
-
-    def on_round_start(self, round_number: int, active: int) -> None:
-        for t in self.tracers:
-            t.on_round_start(round_number, active)
-
-    def on_message(
-        self, sender: int, receiver: int, port: int, payload: Any, delivered: bool
-    ) -> None:
-        for t in self.tracers:
-            t.on_message(sender, receiver, port, payload, delivered)
-
-    def on_halt(self, node: int, round_number: int, output: Any) -> None:
-        for t in self.tracers:
-            t.on_halt(node, round_number, output)
-
-    def on_round_end(self, round_number: int) -> None:
-        for t in self.tracers:
-            t.on_round_end(round_number)
-
-    def on_view(self, center: Any, radius: int, nodes: int, edges: int) -> None:
-        for t in self.tracers:
-            t.on_view(center, radius, nodes, edges)
-
-    def on_layout(self, engine: str, layout: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_layout(engine, layout, info)
-
-    def on_kernel(self, engine: str, algorithm: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_kernel(engine, algorithm, info)
-
-    def on_cache(self, engine: str, stats: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_cache(engine, stats)
-
-    def on_service(self, engine: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_service(engine, info)
-
-    def on_delta(self, engine: str, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_delta(engine, info)
-
-    def on_shard(self, index: int, items: int, seed: int) -> None:
-        for t in self.tracers:
-            t.on_shard(index, items, seed)
-
-    def on_subrun(self, metrics: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_subrun(metrics)
-
-    def on_degraded(self, engine: str, reason: str) -> None:
-        for t in self.tracers:
-            t.on_degraded(engine, reason)
-
-    def on_trial(self, index: int, succeeded: bool, failing_nodes: int) -> None:
-        for t in self.tracers:
-            t.on_trial(index, succeeded, failing_nodes)
-
-    def on_stage(self, kind: str, radius: int, info: Dict[str, Any]) -> None:
-        for t in self.tracers:
-            t.on_stage(kind, radius, info)
-
-    def on_run_end(self, rounds: int, **info: Any) -> None:
-        for t in self.tracers:
-            t.on_run_end(rounds, **info)
+            t.on_event(name, **attrs)
 
 
 def effective_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:

@@ -103,7 +103,7 @@ class CacheStats:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (the ``on_cache`` hook's payload)."""
+        """JSON-ready form (the ``cache`` tracer event's attributes)."""
         return {
             "lookups": self.lookups,
             "hits": self.hits,
@@ -214,11 +214,10 @@ def run_view_algorithm_cached(
     Produces the exact same result as
     :func:`~repro.local_model.network.run_view_algorithm`; pass a
     ``cache`` to reuse classes across runs (same algorithm only).  An
-    optional ``tracer`` sees one
-    :meth:`~repro.instrumentation.Tracer.on_view` per *materialized*
+    optional ``tracer`` sees one ``view`` event per *materialized*
     ball — i.e. one per distinct class, which is the point — plus one
-    :meth:`~repro.instrumentation.Tracer.on_cache` with the run's
-    lookup statistics before ``on_run_end``.
+    ``cache`` event with the run's lookup statistics before
+    ``run_end``.
 
     The memo loop itself lives in
     :class:`~repro.core.cached.CachedEngine`; this entry point is a

@@ -81,8 +81,7 @@ def run_edge_view_algorithm(
 ) -> EdgeExecutionResult:
     """Evaluate an edge algorithm on every edge of ``graph``.
 
-    An optional ``tracer`` observes one
-    :meth:`~repro.instrumentation.Tracer.on_view` event per edge ball
+    An optional ``tracer`` observes one ``view`` event per edge ball
     (``center`` is the edge's ``(u, v)`` node pair).
 
     ``view_cache`` switches to the canonical-view memoization engine

@@ -145,8 +145,8 @@ def run_view_algorithm(
 
     Every node's output is ``algorithm.output(B_T(v))``; the running time
     is ``T = algorithm.radius`` by definition.  An optional ``tracer``
-    observes one :meth:`~repro.instrumentation.Tracer.on_view` event per
-    materialized ball (the view engine's bandwidth analogue).
+    observes one ``view`` event per materialized ball (the view
+    engine's bandwidth analogue).
 
     ``view_cache`` switches to the canonical-view memoization engine
     (:class:`~repro.core.cached.CachedEngine`), which evaluates each

@@ -118,7 +118,7 @@ def run_node_algorithm_on_oriented_graph(
         validated once per (algorithm, graph) instead of per call).
     tracer:
         Optional :class:`~repro.instrumentation.Tracer`; sees one
-        ``on_view`` per node (the resolved ball) plus run start/end.
+        ``view`` event per node (the resolved ball) plus run start/end.
 
     Raises
     ------
@@ -162,7 +162,7 @@ def _estimate_batched(
     (:func:`~repro.speedup.trial_kernel.draw_randrange_block` — same
     values, same final ``rng`` state as the scalar loop), evaluates
     every trial through the distinct-assignment kernel, and replays the
-    scalar loop's ``on_trial`` sequence from the per-trial failing
+    scalar loop's ``trial`` event sequence from the per-trial failing
     counts.  Declines *before* touching ``rng``, so a declined batch
     leaves the scalar fallback bit-identical to a run that never tried.
     """
@@ -172,7 +172,9 @@ def _estimate_batched(
     if n > 0 and tk.encode_reason(alg.values, len(alg.ball.words)) is not None:
         return None
     if tracer is not None:
-        tracer.on_run_start("finite", alg.name, n, trials=trials)
+        tracer.on_event(
+            "run_start", engine="finite", algorithm=alg.name, n=n, trials=trials
+        )
     if n == 0:
         counts = np.zeros(trials, dtype=np.int64)
     else:
@@ -184,8 +186,10 @@ def _estimate_batched(
     successes = int((counts == 0).sum())
     if tracer is not None:
         for i, failing in enumerate(counts.tolist()):
-            tracer.on_trial(i, failing == 0, failing)
-        tracer.on_run_end(alg.t)
+            tracer.on_event(
+                "trial", index=i, succeeded=failing == 0, failing_nodes=failing
+            )
+        tracer.on_event("run_end", rounds=alg.t)
     return successes / trials
 
 
@@ -200,13 +204,12 @@ def estimate_global_success(
 ) -> float:
     """Monte Carlo estimate of Pr[the whole graph is weakly colored].
 
-    An optional ``tracer`` observes one
-    :meth:`~repro.instrumentation.Tracer.on_trial` per trial.
+    An optional ``tracer`` observes one ``trial`` event per trial.
 
     ``layout="kernel"`` runs all trials through the batched
     distinct-assignment kernel (:mod:`repro.speedup.trial_kernel`):
     the same success count, the same per-trial outcomes, the same
-    ``on_trial`` sequence, and the same final ``rng`` state as the
+    ``trial`` event sequence, and the same final ``rng`` state as the
     scalar loop — proven by ``tests/test_speedup_kernels.py`` — at a
     fraction of the cost.  Unsupported algorithms decline back to the
     scalar loop before any randomness is drawn.  (The batch does not
@@ -223,7 +226,9 @@ def estimate_global_success(
         if estimate is not None:
             return estimate
     if tracer is not None:
-        tracer.on_run_start("finite", alg.name, graph.n, trials=trials)
+        tracer.on_event(
+            "run_start", engine="finite", algorithm=alg.name, n=graph.n, trials=trials
+        )
     successes = 0
     for i in range(trials):
         values = [rng.randrange(alg.values) for _ in graph.nodes()]
@@ -233,7 +238,10 @@ def estimate_global_success(
         if run.succeeded:
             successes += 1
         if tracer is not None:
-            tracer.on_trial(i, run.succeeded, len(run.failing_nodes))
+            tracer.on_event(
+                "trial", index=i, succeeded=run.succeeded,
+                failing_nodes=len(run.failing_nodes),
+            )
     if tracer is not None:
-        tracer.on_run_end(alg.t)
+        tracer.on_event("run_end", rounds=alg.t)
     return successes / trials

@@ -5,7 +5,7 @@ partition, then credits the remaining members of every class as hits.
 That must reproduce the per-entity accounting exactly: lookups equal the
 entity count, misses equal the classes not yet in the table, hits are
 the rest, and ``bytes`` / ``distinct_classes`` come from the same stores
-made in the same first-occurrence order.  The ``on_view`` centres — the
+made in the same first-occurrence order.  The ``view`` centres — the
 balls materialized on a miss — must appear in that order too.
 
 The values below were recorded from the per-entity memo loop the
@@ -51,12 +51,12 @@ def _request(case: Case, kind: str, layout: str) -> SimRequest:
     return request
 
 
-#: The pinned ``on_cache`` fields, in the order the goldens list them.
+#: The pinned ``cache`` event fields, in the order the goldens list them.
 STATS = ("lookups", "hits", "misses", "bytes", "distinct_classes")
 
 
 def _observe(engine: CachedEngine, request: SimRequest):
-    """(on_cache stats, info["distinct_classes"], on_view centres)."""
+    """(cache stats, info["distinct_classes"], view centres)."""
     recorder = TraceRecorder()
     report = engine.run(request, tracer=recorder)
     (cache,) = [e.data for e in recorder.events if e.kind == "cache"]
@@ -76,7 +76,7 @@ def observe_cold_and_warm(case: Case, kind: str, layout: str):
 
 
 #: (case, kind, layout) -> (cold, warm) observations, each
-#: ``(STATS tuple, info["distinct_classes"], on_view centres)``.
+#: ``(STATS tuple, info["distinct_classes"], view centres)``.
 GOLDEN = {
     ('local-max-r2-tree3d3-ids', 'view', 'dict'): (
         ((22, 0, 22, 398, 22), 22,

@@ -4,7 +4,7 @@ Each test plants one failure mode from ``repro/conformance/faults.py``
 and asserts the degradation contract documented in
 ``repro/core/sharded.py``: outputs stay bit-identical to the direct
 backend, the reason lands in ``SimReport.info["degraded"]``, and the
-``on_degraded`` tracer hook fires so metrics count it.
+``degraded`` tracer event fires so metrics count it.
 """
 
 import pytest
@@ -127,8 +127,8 @@ def test_fault_suite_all_paths_hold():
 
 def test_metrics_round_trip_includes_degradations():
     tracer = MetricsTracer()
-    tracer.on_degraded("sharded", "unpicklable")
-    tracer.on_degraded("sharded", "pool-error: RuntimeError: boom")
+    tracer.on_event("degraded", engine="sharded", reason="unpicklable")
+    tracer.on_event("degraded", engine="sharded", reason="pool-error: RuntimeError: boom")
     data = tracer.metrics.to_dict()
     assert RunMetrics().to_dict()["degradations"] == 0
     assert data["degradations"] == 2

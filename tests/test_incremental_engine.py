@@ -43,13 +43,14 @@ def _view_request(graph, rule="ball-signature", radius=2, **kwargs):
 
 
 class _DeltaSpy(Tracer):
-    """Capture every on_delta payload for assertion."""
+    """Capture every ``delta`` event's payload for assertion."""
 
     def __init__(self):
         self.events = []
 
-    def on_delta(self, engine, info):
-        self.events.append((engine, dict(info)))
+    def on_event(self, name, /, **attrs):
+        if name == "delta":
+            self.events.append((attrs.pop("engine"), attrs))
 
 
 # ----------------------------------------------------------------------

@@ -278,6 +278,149 @@ class TestJsonRoundTrips:
         assert payloads and all(p == "<opaque>" for p in payloads)
 
 
+class TestDerivedSchema:
+    """``RunMetrics`` serialization and the subrun fold derive from the
+    dataclass fields; these pin what the derivation must produce."""
+
+    def test_to_dict_key_order(self):
+        from dataclasses import fields
+
+        names = [f.name for f in fields(RunMetrics)]
+        at = names.index("cache_distinct_classes") + 1
+        assert list(RunMetrics().to_dict()) == (
+            names[:at] + ["cache_hit_rate"] + names[at:]
+        )
+
+    def test_subrun_folds_every_additive_counter(self):
+        from repro.instrumentation.metrics import _SUBRUN_COUNTERS
+
+        worker = RunMetrics(engine="view", n=9, rounds=4, subruns=5, shards=6,
+                            service_bytes=7, degraded_reasons=["no-fork"])
+        for i, name in enumerate(_SUBRUN_COUNTERS):
+            setattr(worker, name, i + 1)
+        parent = MetricsTracer()
+        parent.on_event("subrun", metrics=worker.to_dict())
+        folded = parent.metrics
+        assert len(_SUBRUN_COUNTERS) == 36
+        for i, name in enumerate(_SUBRUN_COUNTERS):
+            assert getattr(folded, name) == i + 1, name
+        # Size, fan-out bookkeeping and the bytes snapshot never fold.
+        assert (folded.n, folded.rounds, folded.shards, folded.service_bytes) == (
+            0, 0, 0, 0
+        )
+        assert folded.subruns == 1
+        assert folded.degraded_reasons == ["no-fork"]
+
+
+class _Names(Tracer):
+    """Records the event names only."""
+
+    def __init__(self):
+        self.names = []
+
+    def on_event(self, name, /, **attrs):
+        self.names.append(name)
+
+
+class TestKernelRunStart:
+    """Kernel runs fire ``run_start`` before the kernel attempt, so the
+    kernel's time counts towards the run's ``wall_seconds``."""
+
+    @staticmethod
+    def _traced(monkeypatch, attr, wrap):
+        """Patch ``kernels.<attr>`` through ``wrap``; return the tracer
+        (a fake-clock ``MetricsTracer`` plus a name log) it checks."""
+        from repro.local_model import kernels
+
+        now = [0.0]
+        metrics = MetricsTracer(clock=lambda: now[0])
+        names = _Names()
+        real = getattr(kernels, attr)
+
+        def started_then_tick():
+            assert names.names == ["run_start"], names.names
+            now[0] += 5.0
+
+        monkeypatch.setattr(kernels, attr, wrap(real, started_then_tick))
+        return metrics, names, MultiTracer(metrics, names)
+
+    def test_local_kernel(self, monkeypatch):
+        from repro.core import DirectEngine, SimRequest
+
+        def wrap(real, check):
+            def run_local_kernel(algorithm, request):
+                check()
+                return real(algorithm, request)
+            return run_local_kernel
+
+        metrics, names, tracer = self._traced(monkeypatch, "run_local_kernel", wrap)
+        request = SimRequest(kind="local", graph=cycle(10), algorithm=LubyMIS(),
+                             ids=list(range(10)), seed=3, layout="kernel")
+        report = DirectEngine().run(request, tracer=tracer)
+        assert report.info["kernel"] == "vectorized"
+        assert names.names == ["run_start", "kernel", "run_end"]
+        assert metrics.metrics.wall_seconds == 5.0
+
+    def test_finite_kernel(self, monkeypatch):
+        from repro.core import DirectEngine, SimRequest
+        from repro.graphs.generators import toroidal_grid
+        from repro.graphs.orientation import orient_torus
+        from repro.speedup.algorithms import local_maximum_coloring
+
+        def wrap(real, check):
+            def finite_kernel_for(alg):
+                fn = real(alg)
+
+                def kernel(*args):
+                    check()
+                    return fn(*args)
+                return kernel
+            return finite_kernel_for
+
+        metrics, names, tracer = self._traced(monkeypatch, "finite_kernel_for", wrap)
+        graph = toroidal_grid(3, 3)
+        request = SimRequest(
+            kind="finite", graph=graph, algorithm=local_maximum_coloring(2, 1),
+            orientation=orient_torus(graph, 3, 3), values=[1, 0] * 4 + [1],
+            layout="kernel",
+        )
+        report = DirectEngine().run(request, tracer=tracer)
+        assert report.info["kernel"] == "vectorized"
+        assert names.names == (
+            ["run_start"] + ["view"] * 9 + ["kernel", "cache", "run_end"]
+        )
+        assert metrics.metrics.wall_seconds == 5.0
+
+    def test_declined_local_kernel_keeps_the_reference_stream(self):
+        from repro.core import DirectEngine, SimRequest
+
+        from repro.graphs.graph import Graph
+
+        # An unfrozen graph makes the round kernel decline.
+        graph = Graph(6, [(v, (v + 1) % 6) for v in range(6)])
+        assert not graph.is_frozen
+        streams = {}
+        for layout in ("auto", "kernel"):
+            names = _Names()
+            DirectEngine().run(SimRequest(
+                kind="local", graph=graph, algorithm=LubyMIS(),
+                ids=list(range(6)), seed=3, layout=layout,
+            ), tracer=names)
+            streams[layout] = names.names
+        assert streams["kernel"] == (
+            streams["auto"][:1] + ["kernel"] + streams["auto"][1:]
+        )
+
+    @pytest.mark.parametrize("layout", ["auto", "kernel"])
+    def test_rejected_requests_raise_the_reference_error(self, layout):
+        from repro.core import DirectEngine, SimRequest
+
+        request = SimRequest(kind="local", graph=cycle(6), algorithm=LubyMIS(),
+                             ids=[1, 2], seed=3, layout=layout)
+        with pytest.raises(ValueError, match="ids must have one entry per node"):
+            DirectEngine().run(request, tracer=MetricsTracer())
+
+
 class TestSpeedupTracing:
     def test_pipeline_emits_stages(self):
         from repro.experiments.speedup_figures import default_seeds

@@ -23,9 +23,9 @@ speed.  This suite turns that claim into properties:
   across backends, and the per-representative fallback handles rules
   with no kernel (including non-integer outputs through
   :func:`~repro.local_model.kernels.broadcast_table`'s list path);
-* **observability** — ``on_kernel`` events populate the ``kernel_*``
+* **observability** — ``kernel`` events populate the ``kernel_*``
   metrics counters, and the sharded batch path folds worker-side
-  counters into the parent via ``on_subrun`` (pooled *and* degraded);
+  counters into the parent via ``subrun`` events (pooled *and* degraded);
 * **multi-radius reuse** — ``node_classes_many`` partitions feed
   per-radius kernels with no stale label state between radii;
 * the conformance ``broken-kernel-views`` fixture really does diverge
@@ -415,7 +415,7 @@ def test_broadcast_table_integer_and_object_paths():
 
 
 # ----------------------------------------------------------------------
-# Observability: on_kernel events -> kernel_* counters
+# Observability: kernel events -> kernel_* counters
 # ----------------------------------------------------------------------
 
 def test_view_kernel_metrics_counters():

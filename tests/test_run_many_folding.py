@@ -8,7 +8,7 @@ degradation for the whole batch and relayed pooled metrics inside its
 ``try`` block, so an exception after a partial relay re-folded every
 request through the serial mirror, double-counting ``cache_*`` fields.
 The rework performs one assembly pass after all evaluation: exactly one
-``on_subrun`` per request, one ``on_degraded`` per degraded chunk.
+``subrun`` event per request, one ``degraded`` per degraded chunk.
 """
 
 import pytest
@@ -99,7 +99,7 @@ def test_fully_degraded_batch_folds_exact_per_shard_sums():
     finally:
         engine.close()
     _assert_fold_matches(tracer, expected)
-    # One on_degraded per degraded chunk (both chunks are unpicklable).
+    # One degraded event per degraded chunk (both chunks are unpicklable).
     assert tracer.metrics.degradations == 2
     assert tracer.metrics.degraded_reasons == ["unpicklable", "unpicklable"]
     for got, want in zip(reports, want_reports):
@@ -161,11 +161,12 @@ def test_relay_exception_does_not_refold_the_batch():
             super().__init__()
             self.relayed = 0
 
-        def on_subrun(self, metrics):
-            self.relayed += 1
-            if self.relayed == 2:
-                raise RuntimeError("tracer exploded mid-relay")
-            super().on_subrun(metrics)
+        def on_event(self, name, /, **attrs):
+            if name == "subrun":
+                self.relayed += 1
+                if self.relayed == 2:
+                    raise RuntimeError("tracer exploded mid-relay")
+            super().on_event(name, **attrs)
 
     requests = [_view_request(i) for i in range(4)]
     engine = ShardedEngine(shards=2, inner="cached")

@@ -6,7 +6,7 @@ partitions, yet every response stays bit-identical on ``identity()``
 to a cold direct run.  This suite pins the cache layers one at a time
 — table reuse, graph LRU, whole-table eviction under a byte budget,
 the unkeyable-algorithm escape hatch — plus the ``service_*`` metrics
-and ``on_service`` events that make them observable.
+and ``service`` events that make them observable.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def test_run_many_mixed_batch_pools_local_requests():
 
 
 def test_metrics_tracer_records_service_counters():
-    # RunMetrics is per-run (on_run_start resets), so trace each run
+    # RunMetrics is per-run (run_start resets), so trace each run
     # with its own tracer and compare the cold and warm snapshots.
     engine = ServiceEngine()
     cold_tracer, warm_tracer = MetricsTracer(), MetricsTracer()
@@ -260,9 +260,10 @@ def test_on_service_event_shape():
     events = []
 
     class _Recorder(MetricsTracer):
-        def on_service(self, engine_name, info):
-            events.append((engine_name, dict(info)))
-            super().on_service(engine_name, info)
+        def on_event(self, name, /, **attrs):
+            if name == "service":
+                events.append((attrs["engine"], dict(attrs)))
+            super().on_event(name, **attrs)
 
     engine = ServiceEngine()
     try:

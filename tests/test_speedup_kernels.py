@@ -6,7 +6,7 @@ indistinguishable from the reference scalar loops except in speed.  This
 suite turns that claim into properties:
 
 * **trial parity** — ``estimate_global_success(layout="kernel")``
-  returns the same estimate, fires the same per-trial ``on_trial``
+  returns the same estimate, fires the same per-trial ``trial``
   sequence, and leaves the caller's ``rng`` in the same state as the
   scalar loop, on hypothesis-generated tori / algorithms / seeds;
 * **stream parity** — :func:`~repro.speedup.trial_kernel.
@@ -81,19 +81,21 @@ tori = st.tuples(st.integers(3, 6), st.integers(3, 6))
 
 
 class TrialRecorder(Tracer):
-    """Records the ``on_trial`` stream plus the run envelope."""
+    """Records the ``trial`` stream plus the run envelope."""
 
     def __init__(self):
         self.events = []
 
-    def on_run_start(self, engine, algorithm, n, **info):
-        self.events.append(("start", engine, algorithm, n, info))
-
-    def on_trial(self, index, succeeded, failing_nodes):
-        self.events.append(("trial", index, succeeded, failing_nodes))
-
-    def on_run_end(self, rounds):
-        self.events.append(("end", rounds))
+    def on_event(self, name, /, **attrs):
+        if name == "run_start":
+            engine, algorithm, n = attrs.pop("engine"), attrs.pop("algorithm"), attrs.pop("n")
+            self.events.append(("start", engine, algorithm, n, attrs))
+        elif name == "trial":
+            self.events.append(
+                ("trial", attrs["index"], attrs["succeeded"], attrs["failing_nodes"])
+            )
+        elif name == "run_end":
+            self.events.append(("end", attrs["rounds"]))
 
 
 def _oriented(rows, cols):
@@ -292,7 +294,7 @@ def _finite_request(seed=11):
 
 
 def test_service_engine_counts_finite_kernel_runs():
-    # One MetricsTracer per request: on_run_start resets the counters.
+    # One MetricsTracer per request: run_start resets the counters.
     cold_tracer, warm_tracer = MetricsTracer(), MetricsTracer()
     request = _finite_request()
     reference = DirectEngine().run(request)

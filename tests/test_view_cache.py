@@ -1,7 +1,7 @@
 """Unit and regression tests for the canonical-view cache layer.
 
 Covers the cache substrate (:class:`KeyedCache` / :class:`CacheStats`),
-the ``on_cache`` tracer hook end to end (MetricsTracer aggregation,
+the ``cache`` tracer event end to end (MetricsTracer aggregation,
 TraceRecorder events, artifact round-trips), cache reuse across runs,
 and the speedup engine's shared keying function — including the
 regression guard for the finite runner's injectivity refusal on tori at
@@ -142,7 +142,7 @@ def test_cached_engine_materializes_one_view_per_class():
     recorder = TraceRecorder()
     cache = ViewCache()
     run_view_algorithm_cached(graph, rule, tracer=recorder, cache=cache)
-    # on_view fires only for misses — one per distinct class.
+    # The view event fires only for misses — one per distinct class.
     assert len(recorder.of_kind("view")) == cache.stats.distinct_classes == 1
     (event,) = recorder.of_kind("cache")
     assert event.data["engine"] == "view"
