@@ -8,7 +8,9 @@ A fixed set of traced runs that together fire every tracer event:
 * ``finite`` runs on the reference loop and the batched kernel;
 * a pooled sharded view run, a degraded (unpicklable) sharded run, and
   a traced sharded ``run_many`` (subruns);
-* an incremental run followed by one applied delta;
+* incremental runs, each followed by one applied delta: a ``view``
+  run and an ``edge`` run on the footprint path, and a seeded ``local``
+  run in recompute mode;
 * a service run and a service ``run_many`` of two ``local`` requests;
 * a Monte Carlo ``estimate_global_success`` and a small speedup ladder.
 
@@ -157,6 +159,27 @@ def _incremental(tracer) -> None:
     engine.apply(GraphDelta(request.graph, [("add", 0, 5)]), tracer=tracer)
 
 
+def _incremental_edge(tracer) -> None:
+    engine = IncrementalEngine()
+    graph = path(9)
+    request = SimRequest(
+        kind="edge", graph=graph, algorithm=ALGORITHMS.create("edge-profile"),
+        randomness=[random.Random(13).randrange(100) for _ in range(graph.n)],
+        label="golden-incremental-edge",
+    )
+    engine.run(request, tracer=tracer)
+    engine.apply(
+        GraphDelta(graph, [("add", 0, 4), ("remove", 6, 7)]), tracer=tracer
+    )
+
+
+def _incremental_recompute(tracer) -> None:
+    engine = IncrementalEngine()
+    request = _local("flood-leader-parity")
+    engine.run(request, tracer=tracer)
+    engine.apply(GraphDelta(request.graph, [("add", 0, 4)]), tracer=tracer)
+
+
 def _service(tracer) -> None:
     engine = ServiceEngine()
     try:
@@ -215,6 +238,8 @@ SCENARIOS: Dict[str, Callable[[Any], None]] = {
     "degraded": _degraded,
     "sharded-run-many": _sharded_many,
     "incremental": _incremental,
+    "incremental-edge": _incremental_edge,
+    "incremental-recompute": _incremental_recompute,
     "service": _service,
     "service-run-many": _service_many,
     "global-success": _global_success,
