@@ -13,9 +13,13 @@ It also owns the one deduplicating ``view`` / ``edge`` routine,
 :meth:`DirectEngine._run_classes` — partition the entities into ball
 classes, evaluate one representative per class, broadcast — that every
 backend runs on every layout except the direct backend's per-entity
-``"dict"`` reference.  The cached and sharded backends subclass this
-engine and plug an evaluation policy (a memo table, a process pool)
-into :meth:`DirectEngine._evaluate_classes`.
+``"dict"`` reference.  The cached, sharded and incremental backends
+subclass this engine and plug an evaluation policy (a memo table, a
+process pool, a class memo that outlives graph mutations) into
+:meth:`DirectEngine._evaluate_classes`.  Every view/edge ball on every
+path is gathered and evaluated by :func:`ball_evaluator`: the
+reference loop calls it on every entity, the routine on each class
+representative.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.graph import Edge, edge_key
+from ..graphs.graph import edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model import kernels as _kernels
 from ..local_model.batch_views import (
@@ -53,14 +57,6 @@ def ball_inputs(request: SimRequest) -> Tuple[Any, ...]:
     )
 
 
-def trace_view(tracer: Tracer, center: Any, view: Any) -> None:
-    """Fire the ``view`` event of one gathered ball around ``center``."""
-    tracer.on_event(
-        "view", center=center, radius=view.radius,
-        nodes=view.node_count, edges=len(view.edges),
-    )
-
-
 def ball_evaluator(
     kind: str,
     graph: Any,
@@ -73,9 +69,11 @@ def ball_evaluator(
 ) -> Callable[[Any], Any]:
     """``entity -> output``: gather the entity's ball, apply the algorithm.
 
-    The reference evaluation of one class representative — a node for
-    ``kind == "view"`` (``algorithm.output``), an edge for ``"edge"``
-    (``algorithm.output_fn``).  Each gathered ball fires a ``view`` event.
+    The one place a view/edge ball is gathered and evaluated — a node
+    for ``kind == "view"`` (``algorithm.output``), an edge for
+    ``"edge"`` (``algorithm.output_fn``) — whether the entity is a class
+    representative or, on the direct backend's reference path, every
+    entity.  Each gathered ball fires a ``view`` event.
     """
     if kind == "view":
         gather, output, radius = gather_view, algorithm.output, algorithm.radius
@@ -90,7 +88,10 @@ def ball_evaluator(
             orientation=orientation,
         )
         if tracer is not None:
-            trace_view(tracer, entity, view)
+            tracer.on_event(
+                "view", center=entity, radius=view.radius,
+                nodes=view.node_count, edges=len(view.edges),
+            )
         return output(view)
 
     return evaluate
@@ -126,11 +127,9 @@ class DirectEngine(Engine):
         if request.kind == "finite":
             return self._run_finite(request, tracer)
         layout = resolve_layout(request.layout, request.graph, self.prefer_csr)
-        if layout != "dict" or self.prefer_csr:
-            return self._run_classes(request, layout, tracer)
-        if request.kind == "view":
-            return self._run_view(request, tracer)
-        return self._run_edge(request, tracer)
+        if layout == "dict" and not self.prefer_csr:
+            return self._run_reference(request, tracer)
+        return self._run_classes(request, layout, tracer)
 
     # -- "local": the synchronous message-passing round -----------------
     def _wants_local_kernel(self, request: SimRequest) -> bool:
@@ -320,16 +319,8 @@ class DirectEngine(Engine):
             "randomness": request.randomness,
             "orientation": request.orientation,
         }
-        if kind == "view":
-            radius = rounds = algorithm.radius
-            entities: Sequence[Any] = range(graph.n)
-        else:
-            radius, rounds = algorithm.view_radius(), algorithm.rounds
-            entities = list(graph.edges())
-        if tracer is not None:
-            tracer.on_event(
-                "run_start", engine=kind, algorithm=algorithm.name, n=len(entities)
-            )
+        entities, rounds = self._begin(request, tracer)
+        radius = algorithm.radius if kind == "view" else algorithm.view_radius()
         if layout == "dict":
             part = signature_partition(graph, kind, entities, radius, **labeling)
         elif kind == "view":
@@ -350,13 +341,60 @@ class DirectEngine(Engine):
         step = self._kernel_table if layout == "kernel" else self._evaluate_classes
         table, info = step(request, part, reps, evaluate, tracer)
         values = _kernels.broadcast_table(table, part.labels)
+        return self._finish(request, entities, values, rounds, info, tracer)
+
+    def _run_reference(
+        self, request: SimRequest, tracer: Optional[Tracer]
+    ) -> SimReport:
+        """The per-entity ``dict`` reference: every node (``view``) or
+        edge (``edge``) ball is gathered and evaluated — the oracle the
+        deduplicating routine must reproduce."""
+        entities, rounds = self._begin(request, tracer)
+        if tracer is not None:
+            tracer.on_event(
+                "layout", engine=self.name, layout="dict",
+                requested=request.layout, entities=len(entities),
+            )
+        evaluate = ball_evaluator(*ball_inputs(request), tracer=tracer)
+        values = [evaluate(entity) for entity in entities]
+        return self._finish(request, entities, values, rounds, {}, tracer)
+
+    @staticmethod
+    def _begin(
+        request: SimRequest, tracer: Optional[Tracer]
+    ) -> Tuple[Sequence[Any], int]:
+        """A view/edge run's entities (nodes, or edges in ``graph.edges()``
+        order) and round count; fires the run's ``run_start``."""
+        graph, algorithm = request.graph, request.algorithm
+        if request.kind == "view":
+            entities: Sequence[Any] = range(graph.n)
+            rounds = algorithm.radius
+        else:
+            entities, rounds = list(graph.edges()), algorithm.rounds
+        if tracer is not None:
+            tracer.on_event(
+                "run_start", engine=request.kind, algorithm=algorithm.name,
+                n=len(entities),
+            )
+        return entities, rounds
+
+    def _finish(
+        self,
+        request: SimRequest,
+        entities: Sequence[Any],
+        values: List[Any],
+        rounds: int,
+        info: Dict[str, Any],
+        tracer: Optional[Tracer],
+    ) -> SimReport:
+        """Fire ``run_end`` and wrap one output per entity as the report."""
         if tracer is not None:
             tracer.on_event("run_end", rounds=rounds)
-        if kind == "view":
+        if request.kind == "view":
             return SimReport(
                 kind="view",
                 outputs=values,
-                halt_rounds=[rounds] * graph.n,
+                halt_rounds=[rounds] * request.graph.n,
                 rounds=rounds,
                 backend=self.name,
                 info=info,
@@ -418,81 +456,6 @@ class DirectEngine(Engine):
         return [evaluate(rep) for rep in reps], {
             "distinct_classes": part.class_count
         }
-
-    # -- "view"/"edge" on layout="dict": the per-entity reference -------
-    def _run_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        if tracer is not None:
-            tracer.on_event(
-                "run_start", engine="view", algorithm=algorithm.name, n=graph.n
-            )
-            tracer.on_event(
-                "layout", engine=self.name, layout="dict",
-                requested=request.layout, entities=graph.n,
-            )
-        outputs = []
-        for v in graph.nodes():
-            view = gather_view(
-                graph,
-                v,
-                algorithm.radius,
-                ids=request.ids,
-                inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            if tracer is not None:
-                trace_view(tracer, v, view)
-            outputs.append(algorithm.output(view))
-        t = algorithm.radius
-        if tracer is not None:
-            tracer.on_event("run_end", rounds=t)
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[t] * graph.n,
-            rounds=t,
-            backend=self.name,
-        )
-
-    # -- "edge": Section 5's edge-centric model -------------------------
-    def _run_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> SimReport:
-        graph, algorithm = request.graph, request.algorithm
-        if tracer is not None:
-            tracer.on_event(
-                "run_start", engine="edge", algorithm=algorithm.name, n=graph.m
-            )
-            tracer.on_event(
-                "layout", engine=self.name, layout="dict",
-                requested=request.layout, entities=graph.m,
-            )
-        outputs: Dict[Edge, Any] = {}
-        radius = algorithm.view_radius()
-        for u, v in graph.edges():
-            view = gather_edge_view(
-                graph,
-                (u, v),
-                radius,
-                ids=request.ids,
-                inputs=request.inputs,
-                randomness=request.randomness,
-                orientation=request.orientation,
-            )
-            if tracer is not None:
-                trace_view(tracer, (u, v), view)
-            outputs[edge_key(u, v)] = algorithm.output_fn(view)
-        if tracer is not None:
-            tracer.on_event("run_end", rounds=algorithm.rounds)
-        return SimReport(
-            kind="edge",
-            outputs=outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-        )
 
     # -- "finite": oriented-tree algorithms on finite graphs ------------
     def _wants_finite_kernel(self, request: SimRequest) -> bool:

@@ -106,7 +106,8 @@ class SimRequest:
     routine (:meth:`DirectEngine._run_classes
     <repro.core.direct.DirectEngine._run_classes>`) and differs only in
     the evaluation policy it plugs in: none (direct), a memo table
-    (cached), or a process pool (sharded).  The layout picks the
+    (cached), a process pool (sharded), or a class memo that outlives
+    graph mutations (incremental).  The layout picks the
     partition and the evaluation: ``"dict"`` partitions by the
     reference signatures over the adjacency lists, ``"csr"`` through
     the batched ball expander over the compiled

@@ -1,27 +1,35 @@
 """The incremental backend: re-run only a delta's radius-t footprint.
 
 :class:`IncrementalEngine` is the stateful companion to the other
-backends: :meth:`IncrementalEngine.run` primes it on one
-:class:`~repro.core.engine.SimRequest` (partitioning every entity into
-canonical view classes and memoizing one output per class, exactly as
-the cached backend does), and :meth:`IncrementalEngine.apply` then
-accepts :class:`~repro.graphs.delta.GraphDelta` batches and produces
-the report for the *mutated* graph by recomputing only the delta's
-dirty footprint:
+backends.  :meth:`IncrementalEngine.run` primes it on one
+:class:`~repro.core.engine.SimRequest` through the partition ->
+evaluate -> broadcast routine every backend shares
+(:meth:`DirectEngine._run_classes <repro.core.direct.DirectEngine.
+_run_classes>`, ``"csr"`` layout), plugging in a class memo as the
+evaluation policy.  :meth:`IncrementalEngine.apply` then accepts
+:class:`~repro.graphs.delta.GraphDelta` batches and produces the report
+for the *mutated* graph by re-running only the balls the delta touches:
 
 1.  :meth:`GraphDelta.footprint <repro.graphs.delta.GraphDelta.
     footprint>` bounds the nodes whose radius-t view can change — the
-    paper's locality argument made operational (cost proportional to
-    the footprint, not n).
-2.  The batched expander partitions just those nodes
-    (``sources=`` subset pass); subset keys live in the same key space
-    as full-run keys, so every class already seen keeps its memoized
-    output across mutations and only genuinely new classes are
-    evaluated.
+    paper's locality argument made operational.  The dirty entities
+    are those nodes (``view``) or the edges incident to them (``edge``).
+2.  The batched expander partitions just the dirty entities
+    (``sources=`` subset pass for nodes); subset keys live in the same
+    key space as full-run keys, so the same memo policy finds every
+    class already seen and evaluates only genuinely new classes, one
+    :func:`~repro.core.direct.ball_evaluator` call each.
 3.  The previous run's outputs are spliced: untouched entities keep
     their values, dirty entities take their (possibly memoized) class
     output, and the report's ``changed_nodes`` field lists the nodes
     whose class actually changed.
+
+Steps 1 and 2 — the BFS, the ball gathering and the algorithm calls —
+cost time proportional to the footprint's balls, not n.  The rest of an
+apply is linear: the splice copies the previous output list (or dict),
+and building the mutated graph (:class:`GraphDelta` validation and
+replay, the CSR patch) touches every edge.  At n = 10^6 those graph
+layers, not this engine, dominate an apply (``docs/INCREMENTAL.md``).
 
 The correctness contract is absolute bit-identity with a fresh
 :class:`~repro.core.direct.DirectEngine` run on the mutated graph —
@@ -40,15 +48,14 @@ argument.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graphs.delta import GraphDelta, GraphDeltaError
-from ..graphs.graph import Edge, edge_key
+from ..graphs.graph import edge_key
 from ..instrumentation.tracer import Tracer, effective_tracer
-from ..local_model.batch_views import expander_for
-from ..local_model.views import gather_edge_view, gather_view
-from .direct import DirectEngine, trace_view
-from .engine import Engine, SimReport, SimRequest
+from ..local_model.batch_views import ClassPartition, expander_for
+from .direct import DirectEngine, ball_evaluator
+from .engine import SimReport, SimRequest
 
 __all__ = ["IncrementalEngine"]
 
@@ -60,13 +67,12 @@ class _State:
         "mode",
         "request",
         "graph",
-        "radius",
         "ids",
         "inputs",
         "randomness",
         "memo",
-        "node_keys",
-        "edge_keys",
+        "keys",
+        "evaluated_keys",
         "outputs",
     )
 
@@ -74,20 +80,22 @@ class _State:
         self.mode = mode  # "view" | "edge" | "recompute"
         self.request = request
         self.graph = graph
-        self.radius = 0
         self.ids = list(request.ids) if request.ids is not None else None
         self.inputs = list(request.inputs) if request.inputs is not None else None
         self.randomness = (
             list(request.randomness) if request.randomness is not None else None
         )
         self.memo: Dict[Any, Any] = {}
-        self.node_keys: List[Any] = []
-        self.edge_keys: Dict[Edge, Any] = {}
+        #: Class key per entity: a per-node list (view mode) or an
+        #: ``{edge: key}`` dict (edge mode).
+        self.keys: Any = None
+        #: Per-entity keys of the last partition the memo policy saw.
+        self.evaluated_keys: List[Any] = []
         self.outputs: Any = None
 
 
-class IncrementalEngine(Engine):
-    """Stateful backend answering deltas in footprint time.
+class IncrementalEngine(DirectEngine):
+    """Stateful backend answering deltas by re-running their footprint.
 
     Lifecycle: :meth:`run` primes the engine on a request (any kind —
     it behaves as a normal backend and its report is bit-identical to
@@ -95,6 +103,12 @@ class IncrementalEngine(Engine):
     through :class:`~repro.graphs.delta.GraphDelta` batches, returning
     after each one the exact report a fresh direct run on the mutated
     graph would produce, plus ``changed_nodes``.
+
+    Priming runs the shared partition -> evaluate -> broadcast routine
+    (:meth:`DirectEngine._run_classes <repro.core.direct.DirectEngine.
+    _run_classes>`) on the ``"csr"`` layout with this engine's class
+    memo as the evaluation policy; each ``apply`` partitions only the
+    dirty entities and runs the same policy on the mutated graph.
 
     One engine tracks one evolving run: priming again replaces the
     state.  Like the cached backend, the class memo is keyed by
@@ -104,6 +118,7 @@ class IncrementalEngine(Engine):
     name = "incremental"
 
     def __init__(self) -> None:
+        # Recompute mode re-runs, and its events name, the direct backend.
         self._direct = DirectEngine()
         self._state: Optional[_State] = None
 
@@ -127,103 +142,52 @@ class IncrementalEngine(Engine):
             state.outputs = report.outputs
             self._state = state
             return report
+        state = _State(request.kind, request, request.graph)
+        previous, self._state = self._state, state
+        try:
+            report = self._run_classes(request, "csr", tracer)
+        except BaseException:
+            self._state = previous
+            raise
         if request.kind == "view":
-            report, state = self._prime_view(request, tracer)
+            state.keys = state.evaluated_keys
         else:
-            report, state = self._prime_edge(request, tracer)
-        self._state = state
+            state.keys = dict(zip(report.outputs, state.evaluated_keys))
+        state.outputs = report.outputs
         return report
 
     def _rewrap(self, report: SimReport) -> SimReport:
         """A direct-backend report re-badged as this engine's (identity-preserving)."""
         return replace(report, backend=self.name, info=dict(report.info))
 
-    def _prime_view(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> Tuple[SimReport, _State]:
-        graph, algorithm = request.graph, request.algorithm
-        state = _State("view", request, graph)
-        state.radius = radius = algorithm.radius
-        if tracer is not None:
-            tracer.on_event(
-                "run_start", engine="view", algorithm=algorithm.name, n=graph.n
-            )
-        part = expander_for(graph, "csr").node_classes(
-            radius, ids=state.ids, inputs=state.inputs, randomness=state.randomness
-        )
-        if tracer is not None:
-            tracer.on_event(
-                "layout", engine=self.name, layout="csr",
-                requested=request.layout, entities=graph.n,
-                path=part.path, classes=part.class_count,
-            )
-        memo = state.memo
-        for c, key in enumerate(part.keys):
-            view = gather_view(
-                graph, part.reps[c], radius,
-                ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-            )
-            if tracer is not None:
-                trace_view(tracer, part.reps[c], view)
-            memo[key] = algorithm.output(view)
-        keys = part.keys
-        state.node_keys = [keys[c] for c in part.labels]
-        state.outputs = [memo[k] for k in state.node_keys]
-        if tracer is not None:
-            tracer.on_event("run_end", rounds=radius)
-        report = SimReport(
-            kind="view",
-            outputs=state.outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            info={"distinct_classes": len(memo)},
-        )
-        return report, state
+    def _evaluate_classes(
+        self,
+        request: SimRequest,
+        part: ClassPartition,
+        reps: List[Any],
+        evaluate: Callable[[Any], Any],
+        tracer: Optional[Tracer],
+    ) -> Tuple[List[Any], Dict[str, Any]]:
+        """Step 2 policy, on priming and on every apply: the class memo.
 
-    def _prime_edge(
-        self, request: SimRequest, tracer: Optional[Tracer]
-    ) -> Tuple[SimReport, _State]:
-        graph, algorithm = request.graph, request.algorithm
-        state = _State("edge", request, graph)
-        state.radius = radius = algorithm.view_radius()
-        if tracer is not None:
-            tracer.on_event(
-                "run_start", engine="edge", algorithm=algorithm.name, n=graph.m
-            )
-        edges = list(graph.edges())
-        part = expander_for(graph, "csr").edge_classes(
-            edges, radius,
-            ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-        )
-        if tracer is not None:
-            tracer.on_event(
-                "layout", engine=self.name, layout="csr",
-                requested=request.layout, entities=graph.m,
-                path=part.path, classes=part.class_count,
-            )
+        Each class key is looked up in the engine's memo and only a
+        miss evaluates its representative; the memo outlives deltas, so
+        a class seen before any mutation is never evaluated again.  The
+        partitioned entities' keys are recorded for the splice.  No
+        ``cache`` event fires: each apply reports its memo hits and
+        misses in its ``delta`` event.
+        """
+        state = self._state
+        assert state is not None
         memo = state.memo
-        for c, key in enumerate(part.keys):
-            view = gather_edge_view(
-                graph, edges[part.reps[c]], radius,
-                ids=state.ids, inputs=state.inputs, randomness=state.randomness,
-            )
-            if tracer is not None:
-                trace_view(tracer, edges[part.reps[c]], view)
-            memo[key] = algorithm.output_fn(view)
+        table: List[Any] = []
+        for key, rep in zip(part.keys, reps):
+            if key not in memo:
+                memo[key] = evaluate(rep)
+            table.append(memo[key])
         keys = part.keys
-        state.edge_keys = {e: keys[part.labels[i]] for i, e in enumerate(edges)}
-        state.outputs = {e: memo[k] for e, k in state.edge_keys.items()}
-        if tracer is not None:
-            tracer.on_event("run_end", rounds=algorithm.rounds)
-        report = SimReport(
-            kind="edge",
-            outputs=state.outputs,
-            rounds=algorithm.rounds,
-            backend=self.name,
-            info={"distinct_classes": len(memo)},
-        )
-        return report, state
+        state.evaluated_keys = [keys[c] for c in part.labels]
+        return table, {"distinct_classes": len(memo)}
 
     # ------------------------------------------------------------------
     # Introspection (read-only; the tests and docs examples use these)
@@ -242,7 +206,7 @@ class IncrementalEngine(Engine):
         """
         if self._state is None or self._state.mode != "view":
             return None
-        return tuple(self._state.node_keys)
+        return tuple(self._state.keys)
 
     # ------------------------------------------------------------------
     # Deltas
@@ -295,24 +259,17 @@ class IncrementalEngine(Engine):
         ids, inputs, randomness = delta.apply_to_labels(
             state.ids, state.inputs, state.randomness
         )
-        if state.mode == "recompute":
-            report = self._apply_recompute(
-                state, delta, graph, ids, inputs, randomness, tracer
-            )
-        elif state.mode == "view":
-            report = self._apply_view(
-                state, delta, graph, ids, inputs, randomness, tracer
-            )
-        else:
-            report = self._apply_edge(
-                state, delta, graph, ids, inputs, randomness, tracer
-            )
+        apply = (
+            self._apply_recompute if state.mode == "recompute"
+            else self._apply_footprint
+        )
+        report = apply(state, delta, graph, ids, inputs, randomness, tracer)
         state.graph = graph
         state.ids, state.inputs, state.randomness = ids, inputs, randomness
         state.outputs = report.outputs
         return report
 
-    def _apply_view(
+    def _apply_footprint(
         self,
         state: _State,
         delta: GraphDelta,
@@ -322,129 +279,69 @@ class IncrementalEngine(Engine):
         randomness: Optional[List[Any]],
         tracer: Optional[Tracer],
     ) -> SimReport:
-        radius = state.radius
-        algorithm = state.request.algorithm
-        dirty = self._dirty_nodes(delta, radius)
-        part = expander_for(graph, "csr").node_classes(
-            radius, ids=ids, inputs=inputs, randomness=randomness, sources=dirty
-        )
+        """Re-partition the dirty entities, evaluate their new classes
+        through the memo policy, splice them into the previous run."""
+        request = state.request
+        kind, algorithm = request.kind, request.algorithm
+        labeling = {"ids": ids, "inputs": inputs, "randomness": randomness}
+        expander = expander_for(graph, "csr")
+        dirty: List[Any]
+        if kind == "view":
+            radius = rounds = algorithm.radius
+            dirty = self._dirty_nodes(delta, radius)
+            footprint = len(dirty)
+            part = expander.node_classes(radius, sources=dirty, **labeling)
+        else:
+            radius, rounds = algorithm.view_radius(), algorithm.rounds
+            fp = set(self._dirty_nodes(delta, radius))
+            footprint = len(fp)
+            rows = graph.adjacency_rows()
+            dirty = sorted({edge_key(v, u) for v in fp for u in rows[v]})
+            part = expander.edge_classes(dirty, radius, **labeling)
         memo = state.memo
-        survivors = invalidated = 0
-        for c, key in enumerate(part.keys):
-            if key in memo:
-                survivors += 1
-                continue
-            invalidated += 1
-            rep = dirty[part.reps[c]]
-            view = gather_view(
-                graph, rep, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-            )
-            if tracer is not None:
-                trace_view(tracer, rep, view)
-            memo[key] = algorithm.output(view)
-        outputs = list(state.outputs)
-        node_keys = list(state.node_keys)
-        keys = part.keys
-        changed: List[int] = []
-        for i, v in enumerate(dirty):
-            key = keys[part.labels[i]]
-            if key != node_keys[v]:
-                changed.append(v)
-                node_keys[v] = key
-                outputs[v] = memo[key]
-        state.node_keys = node_keys
-        if tracer is not None:
-            tracer.on_event(
-                "delta", engine=self.name, ops=len(delta.ops),
-                footprint=len(dirty), classes_invalidated=invalidated,
-                cache_survivors=survivors, changed_nodes=len(changed),
-                csr_mode=delta.csr_mode,
-            )
-        return SimReport(
-            kind="view",
-            outputs=outputs,
-            halt_rounds=[radius] * graph.n,
-            rounds=radius,
-            backend=self.name,
-            changed_nodes=changed,
-            info={
-                "distinct_classes": len(memo),
-                "footprint": len(dirty),
-                "csr_mode": delta.csr_mode,
-            },
+        known = len(memo)
+        evaluate = ball_evaluator(kind, graph, algorithm, tracer=tracer, **labeling)
+        self._evaluate_classes(
+            request, part, [dirty[i] for i in part.reps], evaluate, tracer
         )
+        # Class keys are distinct within a partition: each miss adds one entry.
+        invalidated = len(memo) - known
+        survivors = part.class_count - invalidated
 
-    def _apply_edge(
-        self,
-        state: _State,
-        delta: GraphDelta,
-        graph: Any,
-        ids: Optional[List[int]],
-        inputs: Optional[List[Any]],
-        randomness: Optional[List[Any]],
-        tracer: Optional[Tracer],
-    ) -> SimReport:
-        radius = state.radius
-        algorithm = state.request.algorithm
-        fp = set(self._dirty_nodes(delta, radius))
-        rows = graph.adjacency_rows()
-        dirty_edges = sorted(
-            {edge_key(v, u) for v in fp for u in rows[v]}
-        )
-        part = expander_for(graph, "csr").edge_classes(
-            dirty_edges, radius,
-            ids=ids, inputs=inputs, randomness=randomness,
-        )
-        memo = state.memo
-        survivors = invalidated = 0
-        for c, key in enumerate(part.keys):
-            if key in memo:
-                survivors += 1
-                continue
-            invalidated += 1
-            rep = dirty_edges[part.reps[c]]
-            view = gather_edge_view(
-                graph, rep, radius,
-                ids=ids, inputs=inputs, randomness=randomness,
-            )
-            if tracer is not None:
-                trace_view(tracer, rep, view)
-            memo[key] = algorithm.output_fn(view)
-        outputs = dict(state.outputs)
-        edge_keys = dict(state.edge_keys)
-        for op in delta.ops:
-            if op[0] == "remove":
-                key = edge_key(op[1], op[2])
-                if not graph.has_edge(*key):
-                    outputs.pop(key, None)
-                    edge_keys.pop(key, None)
-        keys = part.keys
-        changed_edges: List[Edge] = []
-        for i, e in enumerate(dirty_edges):
-            key = keys[part.labels[i]]
-            if edge_keys.get(e) != key:
-                changed_edges.append(e)
-            edge_keys[e] = key
-            outputs[e] = memo[key]
-        state.edge_keys = edge_keys
-        changed = sorted({v for e in changed_edges for v in e})
+        outputs, keys = state.outputs.copy(), state.keys
+        if kind == "edge":
+            for op in delta.ops:
+                if op[0] == "remove":
+                    key = edge_key(op[1], op[2])
+                    if not graph.has_edge(*key):
+                        outputs.pop(key, None)
+                        keys.pop(key, None)
+        old_key = keys.__getitem__ if kind == "view" else keys.get
+        changed: List[Any] = []
+        for entity, key in zip(dirty, state.evaluated_keys):
+            if old_key(entity) != key:
+                changed.append(entity)
+                keys[entity] = key
+                outputs[entity] = memo[key]
+        if kind == "edge":
+            changed = sorted({v for e in changed for v in e})
         if tracer is not None:
             tracer.on_event(
                 "delta", engine=self.name, ops=len(delta.ops),
-                footprint=len(fp), classes_invalidated=invalidated,
+                footprint=footprint, classes_invalidated=invalidated,
                 cache_survivors=survivors, changed_nodes=len(changed),
                 csr_mode=delta.csr_mode,
             )
         return SimReport(
-            kind="edge",
+            kind=kind,
             outputs=outputs,
-            rounds=algorithm.rounds,
+            halt_rounds=[rounds] * graph.n if kind == "view" else None,
+            rounds=rounds,
             backend=self.name,
             changed_nodes=changed,
             info={
                 "distinct_classes": len(memo),
-                "footprint": len(fp),
+                "footprint": footprint,
                 "csr_mode": delta.csr_mode,
             },
         )

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.algorithms.edge_rules import edge_parity_output
 from repro.algorithms.message_passing import LubyMIS
 from repro.algorithms.view_rules import make_view_rule
 from repro.core import (
@@ -29,6 +30,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import MetricsTracer
 from repro.instrumentation.tracer import Tracer
+from repro.local_model.algorithm import ViewAlgorithm
+from repro.local_model.edge_model import EdgeViewAlgorithm
 
 from .differential import Case, assert_delta_case_identical
 
@@ -160,6 +163,73 @@ def test_inverse_delta_restores_outputs_and_serves_from_memo():
     _, info = spy.events[1]
     assert info["classes_invalidated"] == 0
     assert info["cache_survivors"] > 0
+
+
+class _CountingViewRule(ViewAlgorithm):
+    """``ball-signature`` that counts its ``output`` calls."""
+
+    def __init__(self, radius):
+        self.inner = make_view_rule("ball-signature", radius=radius)
+        self.radius, self.name = radius, "counting-ball-signature"
+        self.calls = 0
+
+    def output(self, view):
+        self.calls += 1
+        return self.inner.output(view)
+
+
+class _CountingEdgeRule(EdgeViewAlgorithm):
+    """``edge-parity`` that counts its ``output_fn`` calls."""
+
+    def __init__(self, rounds):
+        super().__init__(rounds, self._count, name="counting-edge-parity")
+        self.calls = 0
+
+    def _count(self, view):
+        self.calls += 1
+        return edge_parity_output(view)
+
+
+def _counting_request(kind, graph):
+    if kind == "view":
+        return SimRequest(kind="view", graph=graph, algorithm=_CountingViewRule(2))
+    return SimRequest(kind="edge", graph=graph, algorithm=_CountingEdgeRule(3))
+
+
+@pytest.mark.parametrize("kind", ["view", "edge"])
+def test_algorithm_calls_match_classes_evaluated(kind):
+    graph = path(30)
+    engine = IncrementalEngine()
+    request = _counting_request(kind, graph)
+    algorithm = request.algorithm
+    primed = engine.run(request)
+    # Priming evaluates one representative per class, nothing more.
+    assert algorithm.calls == primed.info["distinct_classes"] > 1
+    algorithm.calls = 0
+    spy = _DeltaSpy()
+    # The removal cuts off a path end whose balls are already memoized.
+    engine.apply(GraphDelta(graph, [("add", 0, 6), ("remove", 20, 21)]), tracer=spy)
+    _, info = spy.events[0]
+    # An apply evaluates only its memo misses: survivors cost no call.
+    assert info["cache_survivors"] > 0
+    assert algorithm.calls == info["classes_invalidated"] > 0
+
+
+@pytest.mark.parametrize("kind", ["view", "edge"])
+def test_inverse_delta_makes_no_algorithm_call(kind):
+    graph = cycle(16)
+    engine = IncrementalEngine()
+    request = _counting_request(kind, graph)
+    engine.run(request)
+    engine.apply(GraphDelta(graph, [("add", 0, 8)]))
+    request.algorithm.calls = 0
+    spy = _DeltaSpy()
+    engine.apply(
+        GraphDelta(engine.current_graph, [("remove", 0, 8)]), tracer=spy
+    )
+    _, info = spy.events[0]
+    assert info["cache_survivors"] > 0
+    assert info["classes_invalidated"] == request.algorithm.calls == 0
 
 
 def test_apply_accepts_a_sequence_and_composes():

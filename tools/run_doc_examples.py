@@ -5,9 +5,12 @@ Usage::
 
     PYTHONPATH=src python tools/run_doc_examples.py [FILE ...]
 
-With no arguments, runs ``README.md``, ``docs/KERNELS.md``,
-``docs/SERVICE.md`` and ``docs/OBSERVABILITY.md`` — the pages whose
-examples the docs CI job promises are executable.
+With no arguments, runs ``README.md`` and every ``docs/`` page with a
+runnable example — ``ENGINE.md``, ``IMPLICIT.md``, ``INCREMENTAL.md``,
+``KERNELS.md``, ``OBSERVABILITY.md``, ``PERFORMANCE.md`` and
+``SERVICE.md`` — the pages whose examples the docs CI job promises are
+executable.  ``docs/CONFORMANCE.md`` is left out: its fence is a
+registration schema, not a runnable example.
 Each file's ```` ```python ```` blocks run top to bottom in one shared
 namespace (later blocks may use names bound by earlier ones, exactly
 as a reader following along would), so an example that drifts from the
@@ -27,9 +30,13 @@ from typing import List, Tuple
 
 _DEFAULT_FILES = (
     "README.md",
+    os.path.join("docs", "ENGINE.md"),
+    os.path.join("docs", "IMPLICIT.md"),
+    os.path.join("docs", "INCREMENTAL.md"),
     os.path.join("docs", "KERNELS.md"),
-    os.path.join("docs", "SERVICE.md"),
     os.path.join("docs", "OBSERVABILITY.md"),
+    os.path.join("docs", "PERFORMANCE.md"),
+    os.path.join("docs", "SERVICE.md"),
 )
 
 _OPEN_FENCE = re.compile(r"^(```|~~~)\s*python\s*$")
