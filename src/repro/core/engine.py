@@ -260,9 +260,9 @@ class Engine:
     """The backend interface: map :class:`SimRequest` -> :class:`SimReport`.
 
     Subclasses implement :meth:`run`; :meth:`run_many` has a serial
-    default that backends with real fan-out (the sharded engine)
-    override.  Engines are stateless unless documented otherwise
-    (the cached engine owns a memo table).
+    default that only the sharded engine, which fans whole requests
+    over its process pool, overrides.  Engines are stateless unless
+    documented otherwise (the cached engine owns a memo table).
     """
 
     name = "engine"
@@ -278,6 +278,14 @@ class Engine:
     ) -> List[SimReport]:
         """Execute independent requests; order of results matches input."""
         return [self.run(request, tracer=tracer) for request in requests]
+
+    def close(self) -> None:
+        """Release what the engine holds outside this process.
+
+        A no-op here: only :class:`~repro.core.sharded.ShardedEngine`
+        owns such a resource (its worker pool) and overrides this.
+        Safe to call more than once.
+        """
 
 
 #: Engine names accepted by :func:`resolve_engine` / :func:`simulate`.

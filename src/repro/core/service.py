@@ -18,13 +18,14 @@ cross-request layers:
   algorithm instance, see :func:`algorithm_cache_key`), so repeat
   requests for the same rule reuse each canonical view class computed
   by any earlier request.  Tables are LRU-evicted whole while the
-  estimated footprint exceeds ``max_bytes`` (byte accounting rides the
-  existing :class:`~repro.local_model.cache.CacheStats` estimates and
-  surfaces through the ``cache_*`` / ``service_*`` RunMetrics).
+  estimated footprint exceeds ``max_bytes`` (default
+  :data:`DEFAULT_MAX_BYTES`; byte accounting rides the existing
+  :class:`~repro.local_model.cache.CacheStats` estimates and surfaces
+  through the ``cache_*`` / ``service_*`` RunMetrics).
 * **Partitions** — per warm graph, the batched CSR ball partition for
-  each ``(kind, radius, labeling)`` it has served, installed as a
-  memoizing expander on the graph's compiled layout so every engine
-  that touches the graph reuses it.
+  each of the last :data:`MAX_PARTITIONS` ``(kind, radius, labeling)``
+  it has served, installed as a memoizing expander on the graph's
+  compiled layout so every engine that touches the graph reuses it.
 * **Graphs** — registry-built family graphs (:meth:`warm_graph`),
   frozen and CSR-compiled once, LRU-bounded by ``max_graphs``.
 
@@ -38,11 +39,11 @@ certainty.  The conformance ``service-identity`` axis and
 ``tests/test_service_parity.py`` prove the contract; the ``service``
 tracer event and ``service_*`` counters make the cache visible.
 
-``local`` and ``finite`` requests have no view classes to share;
-:meth:`ServiceEngine.run_many` batches them through an internal
-:class:`~repro.core.sharded.ShardedEngine` process pool (with its
-visible degradation contract) while ``view`` / ``edge`` requests run
-in-process against the warm tables.
+``local`` and ``finite`` requests have no view classes to share and
+run with cached-engine path selection (round kernels included).  A
+batch is served by the inherited :meth:`~repro.core.engine.Engine.
+run_many`, one :meth:`ServiceEngine.run` per request, so a request
+takes the same path whether it arrives alone or in a batch.
 """
 
 from __future__ import annotations
@@ -56,7 +57,20 @@ from .cached import CachedEngine
 from .engine import Engine, SimReport, SimRequest
 from .registry import build_graph
 
-__all__ = ["ServiceEngine", "algorithm_cache_key"]
+__all__ = ["DEFAULT_MAX_BYTES", "MAX_PARTITIONS", "ServiceEngine", "algorithm_cache_key"]
+
+#: Default budget, in *estimated* bytes, for all live class tables
+#: together; ``python -m repro.serve --max-bytes`` defaults to it too.
+#: The estimate runs well below resident memory: over 840 n=500 specs
+#: the tables' estimate read 13.4 MB while they added about 42 MB of
+#: resident memory (docs/SERVICE.md, "Bounded warm layers").
+DEFAULT_MAX_BYTES = 2 * 1024 * 1024
+
+#: Memoized ball partitions kept per warm graph (LRU).  A graph in the
+#: daemon's traffic mix serves a few templates per round and only the
+#: unlabeled ones repeat, so a small bound keeps every entry that is
+#: reused and drops the per-request labelings that never are.
+MAX_PARTITIONS = 4
 
 #: Attribute value types accepted verbatim into an algorithm key.
 _KEYABLE_SCALARS = (type(None), bool, int, float, str, bytes)
@@ -130,13 +144,13 @@ class _MemoExpander:
     partitions already computed for earlier requests.  Safe because
     warm graphs are frozen (immutable) and partitions are deterministic
     functions of the graph content plus the labeling; a labeling that
-    cannot be hashed simply bypasses the memo.  Bounded LRU.
+    cannot be hashed simply bypasses the memo.  LRU-bounded by
+    :data:`MAX_PARTITIONS`.
     """
 
-    def __init__(self, inner: Any, max_entries: int = 64):
+    def __init__(self, inner: Any):
         self._inner = inner
         self._memo: "OrderedDict[Any, Any]" = OrderedDict()
-        self._max_entries = max_entries
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
@@ -157,7 +171,7 @@ class _MemoExpander:
             return memo[key_parts]
         part = compute()
         memo[key_parts] = part
-        while len(memo) > self._max_entries:
+        while len(memo) > MAX_PARTITIONS:
             memo.popitem(last=False)
         return part
 
@@ -223,20 +237,14 @@ class ServiceEngine(Engine):
     Parameters
     ----------
     max_bytes:
-        Estimated-size budget for all live class tables together
-        (:class:`~repro.local_model.cache.CacheStats` accounting).
-        After each request, least-recently-used tables are evicted
-        whole until the footprint fits.  ``None`` disables eviction.
+        Budget, in *estimated* bytes, for all live class tables
+        together (:class:`~repro.local_model.cache.CacheStats`
+        accounting, which reads about a third of the resident memory
+        the tables add).  After each request, least-recently-used
+        tables are evicted whole until the estimate fits.  ``None``
+        disables eviction.
     max_graphs:
         How many registry-built warm graphs :meth:`warm_graph` retains.
-    max_partitions:
-        Per-graph bound on memoized ball partitions.
-    shards / timeout:
-        Forwarded to the internal
-        :class:`~repro.core.sharded.ShardedEngine` that serves
-        ``local`` / ``finite`` batches; ``timeout`` (seconds per
-        batch) surfaces as the visible ``pool-error`` degradation
-        rather than a hang.
 
     Unlike the stateless backends this engine is *meant* to be held:
     ``resolve_engine("service")`` returns a fresh instance per call
@@ -248,20 +256,13 @@ class ServiceEngine(Engine):
 
     def __init__(
         self,
-        max_bytes: Optional[int] = 64 * 1024 * 1024,
+        max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         max_graphs: int = 32,
-        max_partitions: int = 64,
-        shards: Optional[int] = None,
-        timeout: Optional[float] = None,
     ):
         self.max_bytes = max_bytes
         self.max_graphs = max_graphs
-        self.max_partitions = max_partitions
-        self._shards = shards
-        self._timeout = timeout
         self._tables: "OrderedDict[Tuple[Any, ...], ViewCache]" = OrderedDict()
         self._graphs: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
-        self._sharded: Optional[Engine] = None
         #: Cumulative counters mirrored by the ``/metrics`` endpoint.
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -283,6 +284,8 @@ class ServiceEngine(Engine):
         use — then frozen, CSR-compiled, and fitted with the partition
         memo — and LRU-retained so repeat requests share one object
         (and therefore one compiled layout and one partition store).
+        Each call counts one ``graph_hits`` or ``graph_misses`` in
+        :attr:`counters`; :meth:`run` does not count graphs again.
         """
         key = (family, tuple(sorted(params.items())), bool(implicit))
         graphs = self._graphs
@@ -320,7 +323,7 @@ class ServiceEngine(Engine):
             from ..local_model.batch_views import BatchBallExpander
 
             csr._expander = BatchBallExpander(graph)
-        csr._expander = _MemoExpander(csr._expander, self.max_partitions)
+        csr._expander = _MemoExpander(csr._expander)
         return False
 
     def _table_for(self, algorithm: Any) -> Tuple[ViewCache, bool, bool]:
@@ -360,14 +363,15 @@ class ServiceEngine(Engine):
         ``view`` / ``edge`` requests run through a
         :class:`~repro.core.cached.CachedEngine` whose memo table is
         the algorithm's cross-request table; ``local`` / ``finite``
-        requests have no view classes and pass through with direct
-        semantics.  Fires one ``service`` event per request.
+        requests have no view classes and run on a private cached
+        engine.  Fires one ``service`` event per request; the graph's
+        warmth goes into that event and ``info["service"]`` only, since
+        :meth:`warm_graph` already counted the lookup.
         """
         tracer = effective_tracer(tracer)
         counters = self.counters
         counters["requests"] += 1
         graph_warm = self._prepare_graph(request.graph)
-        counters["graph_hits" if graph_warm else "graph_misses"] += 1
         table_warm = False
         unkeyable = False
         if request.kind in ("view", "edge"):
@@ -387,87 +391,16 @@ class ServiceEngine(Engine):
             "unkeyable": unkeyable,
         }
         if tracer is not None:
-            self._service_event(
-                tracer, request.kind, table_warm=table_warm,
-                graph_warm=graph_warm, evictions=evicted, unkeyable=unkeyable,
+            tracer.on_event(
+                "service", engine=self.name, event="request",
+                kind=request.kind, requests=1,
+                table_hits=int(table_warm),
+                table_misses=int(request.kind in ("view", "edge") and not table_warm),
+                graph_hits=int(graph_warm), graph_misses=int(not graph_warm),
+                evictions=evicted, bytes=self.total_bytes(),
+                tables=len(self._tables), unkeyable=unkeyable,
             )
         return report
-
-    def _service_event(
-        self,
-        tracer: Tracer,
-        kind: str,
-        table_warm: bool = False,
-        graph_warm: Optional[bool] = None,
-        evictions: int = 0,
-        unkeyable: bool = False,
-    ) -> None:
-        """Fire the ``service`` event of one served request.
-
-        ``graph_warm`` is ``None`` for requests pooled through
-        :meth:`run_many`, which never consult the warm-graph LRU and so
-        count as neither a graph hit nor a miss.
-        """
-        tracer.on_event(
-            "service", engine=self.name, event="request", kind=kind, requests=1,
-            table_hits=int(table_warm),
-            table_misses=int(kind in ("view", "edge") and not table_warm),
-            graph_hits=int(graph_warm is True),
-            graph_misses=int(graph_warm is False),
-            evictions=evictions, bytes=self.total_bytes(),
-            tables=len(self._tables), unkeyable=unkeyable,
-        )
-
-    def run_many(
-        self,
-        requests: Sequence[SimRequest],
-        tracer: Optional[Tracer] = None,
-    ) -> List[SimReport]:
-        """Serve a batch, order preserved.
-
-        ``view`` / ``edge`` requests run in-process against the warm
-        tables (the whole point of the service); ``local`` / ``finite``
-        requests — which have no cross-request classes to share — are
-        batched together through the internal
-        :class:`~repro.core.sharded.ShardedEngine` pool, inheriting
-        its per-chunk degradation contract.
-        """
-        requests = list(requests)
-        pooled_idx = [
-            i for i, r in enumerate(requests) if r.kind in ("local", "finite")
-        ]
-        reports: List[Optional[SimReport]] = [None] * len(requests)
-        if len(pooled_idx) > 1:
-            sharded = self._get_sharded()
-            pooled = sharded.run_many(
-                [requests[i] for i in pooled_idx], tracer=tracer
-            )
-            for i, report in zip(pooled_idx, pooled):
-                reports[i] = report
-            tracer_eff = effective_tracer(tracer)
-            for i in pooled_idx:
-                self.counters["requests"] += 1
-                if tracer_eff is not None:
-                    self._service_event(tracer_eff, requests[i].kind)
-            pooled_set = set(pooled_idx)
-        else:
-            pooled_set = set()
-        for i, request in enumerate(requests):
-            if i not in pooled_set:
-                reports[i] = self.run(request, tracer=tracer)
-        return reports  # type: ignore[return-value]
-
-    def _get_sharded(self) -> Engine:
-        if self._sharded is None:
-            from .sharded import ShardedEngine
-
-            kwargs: Dict[str, Any] = {"inner": "direct"}
-            if self._shards is not None:
-                kwargs["shards"] = self._shards
-            if self._timeout is not None:
-                kwargs["timeout"] = self._timeout
-            self._sharded = ShardedEngine(**kwargs)
-        return self._sharded
 
     def service_info(self) -> Dict[str, Any]:
         """A JSON-ready snapshot for the daemon's ``/metrics`` endpoint."""
@@ -476,9 +409,3 @@ class ServiceEngine(Engine):
         info["tables"] = len(self._tables)
         info["graphs"] = len(self._graphs)
         return info
-
-    def close(self) -> None:
-        """Release the internal process pool (idempotent)."""
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None

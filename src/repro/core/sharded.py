@@ -40,7 +40,11 @@ every case — the differential suite proves it.
 
 :meth:`ShardedEngine.run_many` is the second axis the paper's workload
 offers: *independent* requests (cells, graphs) fan out over the pool
-whole, one report each, order preserved.
+whole, one report each, order preserved.  Every request of a batch,
+pooled or not, runs through :func:`_run_request_chunk` on a fresh
+:class:`~repro.core.cached.CachedEngine`, which selects layouts and
+round kernels exactly as :meth:`ShardedEngine.run` does, so a batched
+request takes the path it would take alone.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..instrumentation.tracer import Tracer, effective_tracer
 from ..local_model.batch_views import ClassPartition
 from ..local_model.cache import CacheStats
+from .cached import CachedEngine
 from .direct import DirectEngine, ball_evaluator, ball_inputs
-from .engine import SimReport, SimRequest, derive_seed, resolve_engine
+from .engine import SimReport, SimRequest, derive_seed
 
 __all__ = ["ShardedEngine"]
 
@@ -104,29 +109,32 @@ def _eval_chunk(payload: Tuple[Any, ...]) -> List[Any]:
     return [evaluate(rep) for rep in payload[-1]]
 
 
-def _run_request_chunk(payload: Tuple[str, Sequence[SimRequest]]) -> List[SimReport]:
-    inner, requests = payload
-    engine = resolve_engine(inner)
-    return [engine.run(request) for request in requests]
+def _run_request_chunk(payload: Tuple[bool, Sequence[SimRequest]]) -> List[Any]:
+    """One chunk of a :meth:`ShardedEngine.run_many` batch:
+    ``(traced, requests)`` -> results, in a worker or in-process.
 
-
-def _run_request_chunk_metrics(
-    payload: Tuple[str, Sequence[SimRequest]],
-) -> List[Tuple[SimReport, Dict[str, Any]]]:
-    """Like :func:`_run_request_chunk`, but each request runs under a
-    fresh worker-side :class:`~repro.instrumentation.metrics.MetricsTracer`
-    whose folded counters ride back with the report — the parent relays
-    them as ``subrun`` tracer events so cache/layout/kernel activity
-    inside workers is never lost."""
+    Each request runs on its own fresh
+    :class:`~repro.core.cached.CachedEngine`: it takes the layout and
+    kernel path :meth:`ShardedEngine.run` would take, minus the pool,
+    and a memo table never outlives its request, so one algorithm's
+    class outputs can never answer another's.  Untraced, the results
+    are bare reports.  Traced, each request runs under a fresh
+    :class:`~repro.instrumentation.metrics.MetricsTracer` and the
+    result is ``(report, metrics_dict)``; the parent relays the dict as
+    a ``subrun`` event, so cache/layout/kernel activity inside workers
+    is never lost.
+    """
     from ..instrumentation.metrics import MetricsTracer
 
-    inner, requests = payload
-    engine = resolve_engine(inner)
-    results = []
+    traced, requests = payload
+    results: List[Any] = []
     for request in requests:
-        metrics = MetricsTracer()
-        report = engine.run(request, tracer=metrics)
-        results.append((report, metrics.metrics.to_dict()))
+        if traced:
+            metrics = MetricsTracer()
+            report = CachedEngine().run(request, tracer=metrics)
+            results.append((report, metrics.metrics.to_dict()))
+        else:
+            results.append(CachedEngine().run(request))
     return results
 
 
@@ -142,9 +150,6 @@ class ShardedEngine(DirectEngine):
         Base of the per-shard seed derivation
         ``derive_seed(base_seed, f"{label}:{kind}:shard-{i}")``; a
         request's own ``seed`` takes precedence as the base.
-    inner:
-        Backend run *inside* each worker for :meth:`run_many`
-        (``"direct"`` or ``"cached"``).
     timeout:
         Seconds to wait for the pool to answer one dispatched batch.
         ``None`` (the default) waits forever — correct when workers are
@@ -162,7 +167,6 @@ class ShardedEngine(DirectEngine):
         self,
         shards: Optional[int] = None,
         base_seed: int = 0,
-        inner: str = "direct",
         timeout: Optional[float] = None,
     ):
         if shards is not None and shards < 1:
@@ -171,7 +175,6 @@ class ShardedEngine(DirectEngine):
             raise ValueError("timeout must be positive (or None)")
         self.shards = shards or _default_shards()
         self.base_seed = base_seed
-        self.inner = inner
         self.timeout = timeout
         self._pool: Optional[Any] = None
 
@@ -301,31 +304,6 @@ class ShardedEngine(DirectEngine):
         return table, info
 
     # -- batches: shard whole independent requests ----------------------
-    def _run_chunk_serial(
-        self, chunk: Sequence[SimRequest], traced: bool
-    ) -> List[Any]:
-        """One chunk through a fresh ``inner`` engine, in-process.
-
-        Mirrors the worker functions exactly — one engine per chunk
-        (so a chunk's requests share a memo table just as they would
-        inside a worker process) and, when ``traced``, one fresh
-        :class:`~repro.instrumentation.metrics.MetricsTracer` per
-        request whose folded dict rides back with the report.  Returns
-        ``(report, metrics_dict)`` pairs when traced, bare reports
-        otherwise — the same shapes the pooled path produces.
-        """
-        engine = resolve_engine(self.inner)
-        if not traced:
-            return [engine.run(request) for request in chunk]
-        from ..instrumentation.metrics import MetricsTracer
-
-        results = []
-        for request in chunk:
-            metrics = MetricsTracer()
-            report = engine.run(request, tracer=metrics)
-            results.append((report, metrics.metrics.to_dict()))
-        return results
-
     def run_many(
         self,
         requests: Sequence[SimRequest],
@@ -334,10 +312,11 @@ class ShardedEngine(DirectEngine):
         """Fan independent requests over the pool, order preserved.
 
         Each shard (a contiguous chunk of the batch) runs its requests
-        through the ``inner`` backend in a worker process.  Degradation
-        is decided *per chunk*: a chunk that cannot be pickled (lambdas
-        in algorithms, exotic labelings) runs in-process while the
-        picklable chunks still pool, and only the degraded chunk's
+        through :func:`_run_request_chunk` in a worker process.
+        Degradation is decided *per chunk*: a chunk that cannot be
+        pickled (lambdas in algorithms, exotic labelings) runs
+        in-process while the picklable chunks still pool, and only the
+        degraded chunk's
         reports carry the reason under ``info["degraded"]`` — mirroring
         the single-run contract without punishing the healthy part of a
         mixed batch.  A pool failure mid-batch (worker crash, timeout)
@@ -382,11 +361,10 @@ class ShardedEngine(DirectEngine):
         pooled_idx = [i for i in range(len(chunks)) if multi and reasons[i] is None]
         results: Dict[int, List[Any]] = {}
         if pooled_idx:
-            worker = _run_request_chunk_metrics if traced else _run_request_chunk
-            payloads = [(self.inner, chunks[i]) for i in pooled_idx]
+            payloads = [(traced, chunks[i]) for i in pooled_idx]
             try:
                 for i, chunk_result in zip(
-                    pooled_idx, self._pool_map(worker, payloads)
+                    pooled_idx, self._pool_map(_run_request_chunk, payloads)
                 ):
                     results[i] = chunk_result
             except Exception as exc:
@@ -400,7 +378,7 @@ class ShardedEngine(DirectEngine):
                     reasons[i] = reason
         for i, chunk in enumerate(chunks):
             if i not in results:
-                results[i] = self._run_chunk_serial(chunk, traced)
+                results[i] = _run_request_chunk((traced, chunk))
         # Single assembly pass, after all evaluation: relay metrics,
         # mark degraded chunks, preserve input order.
         reports: List[SimReport] = []

@@ -124,14 +124,18 @@ views), ``"edge"`` (edge views), ``"finite"`` (oriented finite runner),
 ``service``
     Cross-request cache activity of
     :class:`~repro.core.service.ServiceEngine`, once per served request
-    after the run completes.  ``event`` is ``"request"`` (or
-    ``"evict"``), ``kind`` the request's kind, ``requests`` 1 for a
-    request event; ``table_hits`` / ``table_misses`` say whether the
-    request's algorithm found a warm cross-request class table,
-    ``graph_hits`` / ``graph_misses`` whether its graph found a warm
-    frozen/CSR layout; ``evictions`` counts whole tables dropped by the
-    LRU sweep during this event; ``bytes`` (the estimated footprint of
-    all live tables) and ``tables`` are snapshots, not additive;
+    after the run completes; a batch fires one event per request,
+    exactly as if each had arrived alone.  ``event`` is always
+    ``"request"``, ``kind`` the request's kind, ``requests`` 1.
+    ``table_hits`` / ``table_misses`` say whether the request's
+    algorithm found a warm cross-request class table; ``graph_hits`` /
+    ``graph_misses`` whether its graph was already frozen,
+    CSR-compiled and fitted with the partition memo (the engine's
+    lifetime ``graph_*`` counters count
+    :meth:`~repro.core.service.ServiceEngine.warm_graph` lookups
+    instead).  ``evictions`` counts whole tables dropped by the LRU
+    sweep during this event; ``bytes`` (the estimated footprint of all
+    live tables) and ``tables`` are snapshots, not additive;
     ``unkeyable`` is true when the algorithm could not be given a
     stable cross-request key (the run was served correctly from a fresh
     private table).  Serving from the service cache never changes

@@ -5,8 +5,7 @@ Prints one machine-readable line once the socket is bound::
     repro.serve listening on 127.0.0.1:8787
 
 (the load generator's ``--spawn`` mode parses it), then serves until
-``POST /shutdown`` or SIGINT, draining in-flight work and releasing
-the worker pool before exiting 0.
+``POST /shutdown`` or SIGINT, draining in-flight work before exiting 0.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from ..core.service import ServiceEngine
+from ..core.service import DEFAULT_MAX_BYTES, ServiceEngine
 from .server import ServiceServer
 
 __all__ = ["main"]
@@ -32,8 +31,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,
                         help="0 picks a free port (printed on stdout)")
-    parser.add_argument("--max-bytes", type=int, default=64 * 1024 * 1024,
-                        help="class-table byte budget before LRU eviction")
+    parser.add_argument("--max-bytes", type=int, default=DEFAULT_MAX_BYTES,
+                        help="class-table budget in estimated bytes before "
+                        "LRU eviction (the estimate reads about a third of "
+                        "the resident memory the tables add)")
     parser.add_argument("--max-graphs", type=int, default=32,
                         help="warm registry graphs retained")
     parser.add_argument("--max-batch", type=int, default=16,
@@ -41,16 +42,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-request seconds before a structured "
                         "503 degradation response")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="worker processes for local/finite batches")
     args = parser.parse_args(argv)
 
-    engine = ServiceEngine(
-        max_bytes=args.max_bytes,
-        max_graphs=args.max_graphs,
-        shards=args.shards,
-        timeout=args.timeout,
-    )
+    engine = ServiceEngine(max_bytes=args.max_bytes, max_graphs=args.max_graphs)
     server = ServiceServer(
         host=args.host,
         port=args.port,

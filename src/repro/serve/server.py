@@ -16,11 +16,12 @@ routes:
 
 Concurrency model: every connection is one asyncio task; ``/simulate``
 specs become ``(request, future)`` pairs on a queue that a single
-dispatcher task drains in micro-batches into
-:meth:`~repro.core.service.ServiceEngine.run_many` on a one-thread
-executor.  Concurrent clients therefore *batch* (the tentpole's
-traffic shape) while engine access stays serialized — the cache needs
-no locks, and responses stay bit-identical to sequential direct runs.
+dispatcher task drains in micro-batches into the engine's
+:meth:`~repro.core.engine.Engine.run_many` (one
+:meth:`~repro.core.service.ServiceEngine.run` per spec) on a one-thread
+executor.  Concurrent clients therefore *batch* while engine access
+stays serialized — the cache needs no locks, and responses stay
+bit-identical to sequential direct runs.
 
 Degradation contract: a malformed request is a structured 4xx
 (:func:`~repro.serve.protocol.error_body` — type + message, never a
@@ -127,7 +128,7 @@ class ServiceServer:
             self._shutdown.set()
 
     async def stop(self) -> None:
-        """Close the socket, drain the dispatcher, release the pool."""
+        """Close the socket, drain the dispatcher, close the engine."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -6,18 +6,23 @@ each report names (``info.get("kernel")``).  The batch is the seven
 :func:`~repro.serve.loadgen.mixed_specs` templates at n=48: three view,
 two edge and two local specs.
 
-Two compositions still break the rule, pinned as strict xfails so the
-fix flips them: :meth:`ServiceEngine.run_many` with two ``local`` specs
-and :meth:`ShardedEngine.run_many` both run their batch inside the
-process pool through the ``direct`` inner engine, i.e. the reference
-loop, where a single ``run`` escalates to the registered round kernel.
+Every backend keeps it: the service engine inherits the serial
+:meth:`~repro.core.engine.Engine.run_many`, and the sharded engine runs
+each request of a pooled chunk on a fresh cached engine, which escalates
+``local`` specs to the registered round kernel exactly as a single
+``run`` does.  A chunk never shares one memo table between requests: two
+algorithms that meet the same view class must not answer each other.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CachedEngine, DirectEngine, ServiceEngine, ShardedEngine
+from repro.algorithms.view_rules import make_view_rule
+from repro.core import (
+    CachedEngine, DirectEngine, ServiceEngine, ShardedEngine, SimRequest, simulate,
+)
+from repro.graphs.generators import cycle
 from repro.serve.loadgen import mixed_specs
 from repro.serve.protocol import build_request
 
@@ -40,10 +45,8 @@ def _batch_and_singles(make_engine, specs):
         batch = batch_engine.run_many([build_request(s) for s in specs])
         singles = [single_engine.run(build_request(s)) for s in specs]
     finally:
-        for engine in (batch_engine, single_engine):
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+        batch_engine.close()
+        single_engine.close()
     return _paths(batch), _paths(singles)
 
 
@@ -58,7 +61,7 @@ def test_batch_has_two_local_specs():
     [
         (DirectEngine, SPECS),
         (CachedEngine, SPECS),
-        (lambda: ServiceEngine(shards=2), ONE_LOCAL),
+        (ServiceEngine, ONE_LOCAL),
     ],
     ids=["direct", "cached", "service-one-local"],
 )
@@ -67,21 +70,31 @@ def test_run_many_takes_the_single_request_path(make_engine, specs):
     assert batch == singles
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the pooled batch runs local specs through the reference loop, "
-    "a single run takes the round kernel",
-)
 def test_service_run_many_with_two_local_specs():
-    batch, singles = _batch_and_singles(lambda: ServiceEngine(shards=2), SPECS)
+    batch, singles = _batch_and_singles(ServiceEngine, SPECS)
     assert batch == singles
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="run_many's inner direct engine runs the reference loop, "
-    "a single sharded run takes the round kernel",
-)
 def test_sharded_run_many():
     batch, singles = _batch_and_singles(lambda: ShardedEngine(shards=2), SPECS)
     assert batch == singles
+
+
+def test_sharded_chunk_does_not_share_a_memo_across_algorithms():
+    # One chunk, two rules of the same radius on the same labeled graph:
+    # their class keys coincide, so a memo shared by the chunk would
+    # answer the second rule with the first rule's outputs.
+    graph, ids = cycle(12), list(range(12))
+    requests = [
+        SimRequest(kind="view", graph=graph, algorithm=make_view_rule(name, radius=1),
+                   ids=ids, label=name)
+        for name in ("local-max", "ball-signature")
+    ]
+    engine = ShardedEngine(shards=1)
+    try:
+        batch = engine.run_many(requests)
+    finally:
+        engine.close()
+    assert [r.identity() for r in batch] == [
+        simulate(r, engine="direct").identity() for r in requests
+    ]

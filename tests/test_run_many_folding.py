@@ -43,18 +43,17 @@ def _lambda_edge_request(i, n=10):
     )
 
 
-def _per_shard_sums(requests, shards, inner="cached"):
-    """The ground truth: run each contiguous chunk through a fresh
-    ``inner`` engine (exactly what workers and the serial mirror do)
+def _per_shard_sums(requests, shards):
+    """The ground truth: run each request of each contiguous chunk on a
+    fresh cached engine (exactly what workers and the serial path do)
     and sum the per-request metrics."""
     totals = {"cache_lookups": 0, "cache_hits": 0, "cache_misses": 0,
               "cache_distinct_classes": 0, "subruns": 0}
     reports = []
     for chunk in _split(requests, shards):
-        engine = resolve_engine(inner)
         for request in chunk:
             metrics = MetricsTracer()
-            reports.append(engine.run(request, tracer=metrics))
+            reports.append(resolve_engine("cached").run(request, tracer=metrics))
             m = metrics.metrics
             totals["cache_lookups"] += m.cache_lookups
             totals["cache_hits"] += m.cache_hits
@@ -76,7 +75,7 @@ def _assert_fold_matches(tracer, expected):
 def test_pooled_batch_folds_exact_per_shard_sums(shards):
     requests = [_view_request(i) for i in range(4)]
     expected, want_reports = _per_shard_sums(requests, shards)
-    engine = ShardedEngine(shards=shards, inner="cached")
+    engine = ShardedEngine(shards=shards)
     try:
         tracer = MetricsTracer()
         reports = engine.run_many(requests, tracer=tracer)
@@ -92,7 +91,7 @@ def test_pooled_batch_folds_exact_per_shard_sums(shards):
 def test_fully_degraded_batch_folds_exact_per_shard_sums():
     requests = [_lambda_edge_request(i) for i in range(3)]
     expected, want_reports = _per_shard_sums(requests, 2)
-    engine = ShardedEngine(shards=2, inner="cached")
+    engine = ShardedEngine(shards=2)
     try:
         tracer = MetricsTracer()
         reports = engine.run_many(requests, tracer=tracer)
@@ -117,7 +116,7 @@ def test_mixed_batch_pools_healthy_chunk_and_degrades_the_other():
     requests = [_view_request(0), _view_request(1),
                 _lambda_edge_request(2), _lambda_edge_request(3)]
     expected, _ = _per_shard_sums(requests, 2)
-    engine = ShardedEngine(shards=2, inner="cached")
+    engine = ShardedEngine(shards=2)
     try:
         tracer = MetricsTracer()
         reports = engine.run_many(requests, tracer=tracer)
@@ -137,7 +136,7 @@ def test_mixed_batch_pools_healthy_chunk_and_degrades_the_other():
 def test_untraced_mixed_batch_matches_direct():
     requests = [_view_request(0), _view_request(1),
                 _lambda_edge_request(2)]
-    engine = ShardedEngine(shards=2, inner="cached")
+    engine = ShardedEngine(shards=2)
     try:
         reports = engine.run_many(requests)
     finally:
@@ -169,7 +168,7 @@ def test_relay_exception_does_not_refold_the_batch():
             super().on_event(name, **attrs)
 
     requests = [_view_request(i) for i in range(4)]
-    engine = ShardedEngine(shards=2, inner="cached")
+    engine = ShardedEngine(shards=2)
     try:
         tracer = ExplodingTracer()
         with pytest.raises(RuntimeError, match="mid-relay"):
@@ -185,7 +184,7 @@ def test_relay_exception_does_not_refold_the_batch():
 
 
 def test_single_chunk_batch_runs_in_process_without_degradation():
-    engine = ShardedEngine(shards=4, inner="cached")
+    engine = ShardedEngine(shards=4)
     try:
         tracer = MetricsTracer()
         reports = engine.run_many([_lambda_edge_request(0)], tracer=tracer)

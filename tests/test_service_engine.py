@@ -23,6 +23,8 @@ from repro.graphs import cycle, orient_torus, toroidal_grid
 from repro.graphs.identifiers import random_permutation_ids
 from repro.instrumentation import MetricsTracer
 from repro.local_model import EdgeViewAlgorithm
+from repro.serve.loadgen import mixed_specs
+from repro.serve.protocol import build_request
 
 
 def _view_request(n=16, radius=1, seed=3):
@@ -218,8 +220,8 @@ def test_local_and_finite_kinds_pass_through():
         engine.close()
 
 
-def test_run_many_mixed_batch_pools_local_requests():
-    engine = ServiceEngine(shards=2)
+def test_run_many_mixed_batch_matches_direct():
+    engine = ServiceEngine()
     try:
         requests = [
             _local_request(seed=0), _view_request(), _local_request(seed=1),
@@ -232,6 +234,30 @@ def test_run_many_mixed_batch_pools_local_requests():
     finally:
         engine.close()
     engine.close()  # idempotent
+
+
+def test_graph_counters_count_each_request_once():
+    # build_request looks the graph up through warm_graph, then run
+    # serves it: one graph hit or miss per request, never two.
+    engine = ServiceEngine()
+    specs = mixed_specs(14, seed=0, n=48)
+    for spec in specs:
+        engine.run(build_request(spec, engine))
+    counters = engine.counters
+    assert counters["graph_hits"] + counters["graph_misses"] == len(specs)
+    assert counters["graph_misses"] == 3  # cycle, path and torus
+
+
+def test_warm_layers_stay_bounded_under_fresh_labelings():
+    # Every round brings new ids/randomness, so neither the class tables
+    # nor the partition memo ever see a repeat of a labeled request.
+    engine = ServiceEngine()
+    for round_seed in range(40):
+        for spec in mixed_specs(7, seed=round_seed, n=48):
+            engine.run(build_request(spec, engine))
+            for graph in engine._graphs.values():
+                assert len(graph.csr()._expander._memo) <= 4
+            assert engine.total_bytes() <= engine.max_bytes == 2 * 1024 * 1024
 
 
 def test_metrics_tracer_records_service_counters():

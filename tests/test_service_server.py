@@ -11,8 +11,8 @@ Two layers of coverage:
 * **Subprocess** — a real ``python -m repro.serve`` daemon booted via
   :func:`~repro.serve.loadgen.spawn_daemon`: concurrent clients get
   bit-identical responses, eviction under a tiny ``--max-bytes``
-  budget stays exact and visible in ``/metrics``, and ``/shutdown``
-  exits 0 with no orphaned worker processes.
+  budget stays exact and visible in ``/metrics``, a batch takes the
+  same path as its specs sent one by one, and ``/shutdown`` exits 0.
 """
 
 from __future__ import annotations
@@ -224,6 +224,18 @@ def test_daemon_batch_round_trip_preserves_order(daemon):
         assert report.identity() == local.identity()
 
 
+def test_daemon_batch_takes_the_single_request_path(daemon):
+    # The seven loadgen templates, two of them ``local``: a batch must
+    # report the same identity and kernel path as each spec sent alone.
+    specs = mixed_specs(7, n=48)
+    with ServiceClient(*daemon) as client:
+        batch = client.simulate_many(specs)
+        singles = [client.simulate(spec) for spec in specs]
+    assert [(r.identity(), r.info.get("kernel")) for r in batch] == [
+        (r.identity(), r.info.get("kernel")) for r in singles
+    ]
+
+
 def test_daemon_rejects_bad_specs_without_dying(daemon):
     host, port = daemon
     with ServiceClient(host, port) as client:
@@ -286,10 +298,9 @@ def test_eviction_under_tiny_budget_daemon_stays_exact():
 
 
 def test_daemon_shutdown_releases_worker_pool():
-    # Local-kind batches spin the engine's internal process pool; a
-    # clean /shutdown must still exit 0 promptly (no orphaned workers
-    # holding the interpreter open).
-    proc, host, port = spawn_daemon(["--shards", "2"])
+    # A batch of local specs, then a clean /shutdown: the daemon must
+    # still exit 0 promptly.
+    proc, host, port = spawn_daemon()
     try:
         local_specs = [s for s in mixed_specs(14, n=12) if s["kind"] == "local"]
         assert len(local_specs) >= 2

@@ -145,7 +145,7 @@ def _degraded(tracer) -> None:
 
 
 def _sharded_many(tracer) -> None:
-    engine = ShardedEngine(shards=2, inner="cached")
+    engine = ShardedEngine(shards=2)
     try:
         engine.run_many([_view(n=8), _view(n=9), _edge(n=7)], tracer=tracer)
     finally:
